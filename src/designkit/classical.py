@@ -13,9 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .linalg import NatMatrix, kron as _kron, transpose as _transpose
 
@@ -223,10 +221,7 @@ def dual(design: ClassicalDesign) -> ClassicalDesign:
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in range(2, int(math.isqrt(n)) + 1):
-        if n % p == 0:
-            return False
-    return True
+    return all(n % p for p in range(2, int(math.isqrt(n)) + 1))
 
 
 def gen_projective_plane(order: int) -> ClassicalDesign:
@@ -254,13 +249,26 @@ def gen_projective_plane(order: int) -> ClassicalDesign:
     return ClassicalDesign(NatMatrix(chi))
 
 
+# Largest incidence matrix, in cells, that gen_complete enumerates.
+_COMPLETE_MAX_CELLS = 10**6
+
+
 def gen_complete(v: int, k: int) -> ClassicalDesign:
     """All k-subsets of v points as blocks, in lexicographic order.
 
-    Parameters come out as r = C(v-1, k-1) and lambda = C(v-2, k-2).
+    Parameters come out as r = C(v-1, k-1) and lambda = C(v-2, k-2).  Refuses
+    more than _COMPLETE_MAX_CELLS incidence cells before enumerating anything.
     """
     if not 1 <= k <= v:
         raise ValueError(f"need 1 <= k <= v, got k={k}, v={v}")
+    cells = v  # v * C(v, j) grows with j up to v / 2: stop once past the bound
+    for j in range(min(k, v - k)):
+        if cells > _COMPLETE_MAX_CELLS:
+            break
+        cells = cells * (v - j) // (j + 1)
+    if cells > _COMPLETE_MAX_CELLS:
+        raise ValueError(f"v*C(v,k) exceeds the limit of {_COMPLETE_MAX_CELLS} "
+                         f"incidence cells for v={v}, k={k}")
     blocks = list(itertools.combinations(range(v), k))
     chi = [[1 if i in blk else 0 for blk in blocks] for i in range(v)]
     return ClassicalDesign(NatMatrix(chi))

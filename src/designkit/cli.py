@@ -19,7 +19,6 @@ from .catalog import (
     SCHEMA_REPORT,
     FormatError,
     canonical_json,
-    catalog_expected,
     catalog_names,
     catalog_text,
     classical_to_doc,
@@ -308,18 +307,13 @@ def cmd_convert(args) -> int:
     text = _read_text(args.file)
     if args.direction == "c2q":
         design = _load_as(text, ClassicalDesign, "classical-design/1")
-        try:
-            out = functor_q(design)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_FAIL
     else:
         design = _load_as(text, QuantumDesign, "quantum-design/1")
-        try:
-            out = to_classical(design, tol)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_FAIL
+    try:
+        out = functor_q(design) if args.direction == "c2q" else to_classical(design, tol)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     _write_text(args.output, dumps(out))
     return EXIT_OK
 
@@ -363,43 +357,27 @@ def cmd_search(args) -> int:
             limit=args.limit, canonical_only=args.canonical,
         )
     except InfeasibleParametersError as exc:
-        if args.json:
-            doc = {
-                "schema": SCHEMA_REPORT,
-                "tool": "designkit",
-                "tool_version": __version__,
-                "command": "search",
-                "input_digest": _digest(canonical_json(request)),
-                "tolerance": {"abs_eps": args.abs_eps, "rel_eps": args.rel_eps},
-                "subject": {"type": "search", **request},
-                "parameters": {"found": 0},
-                "checks": [_check("parameters feasible", False, error=str(exc))],
-                "notes": [],
-                "designs": [],
-                "passed": False,
-            }
-            sys.stdout.write(canonical_json(doc))
-        else:
+        if not args.json:
             print(f"search: FAIL ({exc})")
-        return EXIT_FAIL
+            return EXIT_FAIL
+        found = []
+        checks = [_check("parameters feasible", False, error=str(exc))]
+    else:
+        checks = [
+            _check("parameters feasible", True),
+            _check("at least one design found", bool(found), found=len(found)),
+        ]
     if args.json:
-        doc = {
-            "schema": SCHEMA_REPORT,
-            "tool": "designkit",
-            "tool_version": __version__,
-            "command": "search",
-            "input_digest": _digest(canonical_json(request)),
-            "tolerance": {"abs_eps": args.abs_eps, "rel_eps": args.rel_eps},
-            "subject": {"type": "search", **request},
-            "parameters": {"found": len(found)},
-            "checks": [
-                _check("parameters feasible", True),
-                _check("at least one design found", bool(found), found=len(found)),
-            ],
-            "notes": [],
-            "designs": [classical_to_doc(d)["incidence"] for d in found],
-            "passed": bool(found),
-        }
+        doc, _ = _report(
+            args,
+            "search",
+            _digest(canonical_json(request)),
+            {"type": "search", **request},
+            {"found": len(found)},
+            checks,
+            [],
+        )
+        doc["designs"] = [classical_to_doc(d)["incidence"] for d in found]
         sys.stdout.write(canonical_json(doc))
     else:
         print(f"search: found {len(found)} design(s)")

@@ -204,11 +204,13 @@ def is_cp(f: CpMap, tol: Tolerance = DEFAULT_TOL) -> CpCheck:
 
 
 def is_trace_preserving(f: CpMap, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Partial trace of the Choi over the output factor equals the input identity."""
-    c = choi(f)
-    t = c.m.a.reshape(c.n_in, c.n_out, c.n_in, c.n_out)
-    partial = np.einsum("ikjk->ij", t)
-    return tol.allclose(partial, np.eye(c.n_in))
+    """Tr f(X) = Tr X, read off the superoperator as w_out^dagger m = w_in^dagger.
+
+    The trace of an algebra element x is w^dagger x for the unit coordinates w.
+    """
+    w_in = f.in_alg.identity_vector()
+    w_out = f.out_alg.identity_vector()
+    return tol.allclose(w_out.conj() @ f.m.a, w_in)
 
 
 def classical_to_cp(design: ClassicalDesign) -> CpMap:
@@ -351,8 +353,6 @@ def verify_cp_design(f: CpMap, tol: Tolerance = DEFAULT_TOL) -> CpDesignReport:
     for Commutative(n) and vec(I) for Matrix(n).  Note a transposed (dual)
     map swaps the roles of k and r.
     """
-    if f.convention != "superoperator":
-        raise ValueError(f"unsupported convention {f.convention!r}")
     m = f.m.a
     w_in = f.in_alg.identity_vector()
     w_out = f.out_alg.identity_vector()
@@ -369,13 +369,21 @@ def verify_cp_design(f: CpMap, tol: Tolerance = DEFAULT_TOL) -> CpDesignReport:
     lam = None
     lam_res = None
     if r_ok:
-        gram = m @ m.conj().T
-        target_j = np.outer(w_out, w_out.conj())
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = m @ m.conj().T
+        if not np.all(np.isfinite(gram)):
+            raise ValueError("m m^dagger is not finite; the largest |entry| of the map is "
+                             f"{float(np.abs(m).max())!r}")
         eye = np.eye(f.out_alg.coord_dim, dtype=np.complex128)
+        shape = np.outer(w_out, w_out.conj()) - eye
         base = gram - r_est.real * eye
+        # Only the entries where shape is nonzero move with lam.
+        moving = shape != 0
+        fixed = float(np.abs(base[~moving]).max(initial=0.0))
+        base, shape = base[moving], shape[moving]
 
         def residual(lam_val: float) -> float:
-            return float(np.abs(base - lam_val * (target_j - eye)).max())
+            return float(np.abs(base - lam_val * shape).max(initial=fixed))
 
         span = float(np.abs(gram).max(initial=0.0)) + abs(r_est.real) + 1.0
         lo, hi = -span, span

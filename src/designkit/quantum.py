@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import ClassicalDesign, IdentityCheck
+from .classical import ClassicalDesign, IdentityCheck, _is_prime
 from .linalg import (
     DEFAULT_TOL,
     ComplexMatrix,
@@ -122,11 +122,19 @@ def validate(design: QuantumDesign, tol: Tolerance = DEFAULT_TOL) -> ValidationR
     return ValidationReport(checks=tuple(checks), ok=all(c.ok for c in checks))
 
 
+def _require_projectors(design: QuantumDesign, tol: Tolerance) -> None:
+    rep = validate(design, tol)
+    if not rep.ok:
+        bad = [c.index for c in rep.checks if not c.ok]
+        raise ValueError(f"not a projector family: indices {bad} fail validation")
+
+
 def _cluster(values: list[float], threshold: float) -> list[list[float]]:
-    # Single-linkage on the real line: split sorted values at gaps > threshold.
+    # Sorted values join the open cluster while within threshold of its first
+    # value, so no cluster spreads wider than threshold.
     out: list[list[float]] = []
     for x in sorted(values):
-        if out and x - out[-1][-1] <= threshold:
+        if out and x - out[-1][0] <= threshold:
             out[-1].append(x)
         else:
             out.append([x])
@@ -139,10 +147,7 @@ def classify_quantum(design: QuantumDesign, tol: Tolerance = DEFAULT_TOL) -> Qua
     Raises ValueError when the family fails projector validation or a
     pairwise trace comes out non-real far beyond tolerance.
     """
-    rep = validate(design, tol)
-    if not rep.ok:
-        bad = [c.index for c in rep.checks if not c.ok]
-        raise ValueError(f"not a projector family: indices {bad} fail validation")
+    _require_projectors(design, tol)
     stack = np.stack([p.a for p in design.projectors])
     b = design.b
     traces = np.einsum("aii->a", stack)
@@ -211,12 +216,10 @@ def to_classical(design: QuantumDesign, tol: Tolerance = DEFAULT_TOL) -> Classic
     Refines the standard basis by each projector in turn (image part first),
     then records for every refined basis vector which projectors fix it.  The
     result is a v x b 0/1 matrix, unique up to column (block) ordering.
-    Raises ValueError when the family does not pairwise commute or is not a
-    valid projector family.
+    Raises ValueError for an invalid projector family, and when a projector
+    fails to split a refined subspace, i.e. the family does not commute.
     """
-    params = classify_quantum(design, tol)
-    if not params.commutative:
-        raise ValueError("projectors do not pairwise commute; no joint eigenbasis")
+    _require_projectors(design, tol)
     b = design.b
     eye = np.eye(b, dtype=np.complex128)
     groups: list[tuple[list[np.ndarray], tuple[int, ...]]] = [
@@ -225,7 +228,12 @@ def to_classical(design: QuantumDesign, tol: Tolerance = DEFAULT_TOL) -> Classic
     for p in design.projectors:
         refined: list[tuple[list[np.ndarray], tuple[int, ...]]] = []
         for vecs, pattern in groups:
-            img, ker = split_by_projector(vecs, p, tol)
+            try:
+                img, ker = split_by_projector(vecs, p, tol)
+            except ValueError as exc:
+                raise ValueError(
+                    "projectors do not pairwise commute; no joint eigenbasis"
+                ) from exc
             if img:
                 refined.append((img, pattern + (1,)))
             if ker:
@@ -273,12 +281,6 @@ class MubFamily:
     @property
     def k(self) -> int:
         return len(self.bases)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % p for p in range(2, int(math.isqrt(n)) + 1))
 
 
 def mub_generate(d: int, k: int) -> MubFamily:

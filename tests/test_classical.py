@@ -238,6 +238,19 @@ def test_complete_design_matrix_and_parameters():
             assert p.lam == 0
 
 
+def test_complete_design_size_guard_is_exact(monkeypatch):
+    import designkit.classical as classical
+
+    monkeypatch.setattr(classical, "_COMPLETE_MAX_CELLS", 60)
+    for v in range(1, 9):
+        for k in range(1, v + 1):
+            if v * math.comb(v, k) <= 60:
+                assert gen_complete(v, k).b == math.comb(v, k)
+            else:
+                with pytest.raises(ValueError, match="limit of 60 incidence cells"):
+                    gen_complete(v, k)
+
+
 def test_complete_design_rejects_bad_k():
     with pytest.raises(ValueError):
         gen_complete(3, 0)

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -138,6 +139,16 @@ def test_verify_cpmap_rejects_transpose_map(tmp_path, capsys):
     assert cp_check["min_choi_eigenvalue"] == pytest.approx(-1.0, abs=1e-9)
 
 
+def test_verify_cpmap_names_largest_entry_when_gram_overflows(tmp_path, capsys):
+    huge = ComplexMatrix([[1e300] * 2] * 2)
+    f = CpMap(Algebra.commutative(2), Algebra.commutative(2), huge)
+    path = write(tmp_path, "huge.json", dumps(f))
+    code, out, err = run(capsys, "verify-cpmap", path, "--json")
+    assert code == 2
+    assert out == ""
+    assert err == "error: m m^dagger is not finite; the largest |entry| of the map is 1e+300\n"
+
+
 def test_generate_complete_then_verify(tmp_path, capsys):
     out_path = str(tmp_path / "complete.json")
     code, _, _ = run(capsys, "generate", "complete", "--v", "4", "--k", "2", "-o", out_path)
@@ -146,6 +157,15 @@ def test_generate_complete_then_verify(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["parameters"] == {"k": 2, "r": 3, "lambda": 1, "symmetric": False}
+
+
+def test_generate_complete_rejects_oversized_request_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "generate", "complete", "--v", "40", "--k", "20")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "exceeds the limit of 1000000 incidence cells" in err
 
 
 def test_generate_writes_to_stdout_by_default(capsys):
@@ -216,13 +236,36 @@ def test_dual_transposes(fano_file, tmp_path, capsys):
     assert dual.chi.tolist() == list(map(list, zip(*original.chi.tolist())))
 
 
+# `search --json` reports recorded from the hand-built documents that came
+# before the report went through _report; the bytes must not change.
+FANO_SEARCH_REPORT = (
+    '{"checks":[{"name":"parameters feasible","passed":true},{"found":2,"name":"at least one '
+    'design found","passed":true}],"command":"search","designs":[[[1,1,1,0,0,0,0],'
+    '[1,0,0,1,1,0,0],[1,0,0,0,0,1,1],[0,1,0,1,0,1,0],[0,1,0,0,1,0,1],[0,0,1,1,0,0,1],'
+    '[0,0,1,0,1,1,0]],[[1,1,1,0,0,0,0],[1,0,0,1,1,0,0],[1,0,0,0,0,1,1],[0,1,0,1,0,1,0],'
+    '[0,1,0,0,1,0,1],[0,0,1,0,1,1,0],[0,0,1,1,0,0,1]]],'
+    '"input_digest":"sha256:57ade89bd110cd255f989ab2f3f71b417b937c647d652d26dbf9f4ba4ac9248f",'
+    '"notes":[],"parameters":{"found":2},"passed":true,"schema":"design-report/1",'
+    '"subject":{"b":7,"canonical":true,"k":3,"lambda":1,"limit":2,"r":3,"type":"search","v":7},'
+    '"tolerance":{"abs_eps":1e-09,"rel_eps":1e-09},"tool":"designkit","tool_version":"0.1.0"}\n'
+)
+INFEASIBLE_SEARCH_REPORT = (
+    '{"checks":[{"error":"infeasible: lambda*(v-1) = 3 differs from r*(k-1) = 2","name":'
+    '"parameters feasible","passed":false}],"command":"search","designs":[],"input_digest":'
+    '"sha256:41dfcc9ebd9e2ee863d837d1d51b7eb1995fb28cad3332c5cd54dbced7065fb8","notes":[],'
+    '"parameters":{"found":0},"passed":false,"schema":"design-report/1","subject":{"b":4,'
+    '"canonical":false,"k":2,"lambda":1,"limit":null,"r":2,"type":"search","v":4},"tolerance":'
+    '{"abs_eps":1e-09,"rel_eps":1e-09},"tool":"designkit","tool_version":"0.1.0"}\n'
+)
+
+
 def test_search_json_output_is_deterministic(capsys):
     argv = ["search", "--v", "7", "--b", "7", "--k", "3", "--r", "3",
             "--lambda", "1", "--canonical", "--limit", "2", "--json"]
     code1, first, _ = run(capsys, *argv)
     code2, second, _ = run(capsys, *argv)
     assert code1 == code2 == 0
-    assert first == second
+    assert first == second == FANO_SEARCH_REPORT
     doc = json.loads(first)
     assert doc["parameters"]["found"] == 2
     assert len(doc["designs"]) == 2
@@ -233,6 +276,7 @@ def test_search_infeasible_parameters_fail(capsys):
     code, out, _ = run(capsys, "search", "--v", "4", "--b", "4", "--k", "2",
                        "--r", "2", "--lambda", "1", "--json")
     assert code == 1
+    assert out == INFEASIBLE_SEARCH_REPORT
     doc = json.loads(out)
     assert doc["passed"] is False
     feasible = next(c for c in doc["checks"] if c["name"] == "parameters feasible")

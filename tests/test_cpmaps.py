@@ -351,3 +351,88 @@ def test_trace_preservation_matches_unit_uniformity():
         rep = verify_cp_design(f)
         k_is_one = rep.k is not None and abs(rep.k - 1.0) <= 1e-9
         assert k_is_one == is_trace_preserving(f)
+
+
+def choi_partial_trace_is_tp(f, tol=DEFAULT_TOL):
+    # Reference: the partial trace of the Choi matrix over the output factor
+    # is the input identity.
+    c = choi(f)
+    t = c.m.a.reshape(c.n_in, c.n_out, c.n_in, c.n_out)
+    return tol.allclose(np.einsum("ikjk->ij", t), np.eye(c.n_in))
+
+
+def full_matrix_lam_search(f):
+    # Reference: 120 ternary steps, each over the whole residual matrix.
+    m = f.m.a
+    w_in = f.in_alg.identity_vector()
+    w_out = f.out_alg.identity_vector()
+    r_est = complex(w_out.conj() @ (m @ w_in)) / f.out_alg.n
+    gram = m @ m.conj().T
+    target_j = np.outer(w_out, w_out.conj())
+    eye = np.eye(f.out_alg.coord_dim, dtype=np.complex128)
+    base = gram - r_est.real * eye
+
+    def residual(lam_val):
+        return float(np.abs(base - lam_val * (target_j - eye)).max())
+
+    span = float(np.abs(gram).max(initial=0.0)) + abs(r_est.real) + 1.0
+    lo, hi = -span, span
+    for _ in range(120):
+        third = (hi - lo) / 3.0
+        m1, m2 = lo + third, hi - third
+        if residual(m1) < residual(m2):
+            hi = m2
+        else:
+            lo = m1
+    lam = (lo + hi) / 2.0
+    return lam, residual(lam)
+
+
+def random_unitary(n, rng):
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def mixed_unitary_channel(n, rng):
+    weights = rng.dirichlet(np.ones(3))
+    m = sum(w * np.kron(u, u.conj()) for w, u in
+            zip(weights, (random_unitary(n, rng) for _ in weights)))
+    return CpMap(Algebra.matrix(n), Algebra.matrix(n), ComplexMatrix(m))
+
+
+def test_trace_functional_matches_choi_partial_trace_on_random_maps():
+    rng = np.random.default_rng(20231209)
+    verdicts = set()
+    kinds = (Algebra.commutative, Algebra.matrix)
+    for make_in in kinds:
+        for make_out in kinds:
+            for _ in range(40):
+                a_in, a_out = make_in(int(rng.integers(1, 5))), make_out(int(rng.integers(1, 5)))
+                w_in, w_out = a_in.identity_vector(), a_out.identity_vector()
+                shape = (a_out.coord_dim, a_in.coord_dim)
+                m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                # Make the map trace preserving, then move it off by a chosen
+                # distance on either side of the tolerance.
+                m += np.outer(w_out, w_in - w_out.conj() @ m) / (w_out.conj() @ w_out)
+                eps = rng.choice([0.0, 1e-12, 1e-6, 1.0])
+                m += eps * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+                f = CpMap(a_in, a_out, ComplexMatrix(m))
+                verdict = is_trace_preserving(f)
+                assert verdict == choi_partial_trace_is_tp(f)
+                verdicts.add((make_in, make_out, verdict))
+    assert len(verdicts) == 8
+
+
+def test_lam_search_matches_full_matrix_reference_exactly():
+    rng = np.random.default_rng(1209)
+    maps = [mixed_unitary_channel(n, rng) for n in range(2, 9)]
+    maps += [classical_to_cp(gen_projective_plane(d)) for d in (2, 3, 5)]
+    maps += [classical_to_cp(gen_complete(v, k)) for v, k in ((4, 2), (5, 3), (6, 2))]
+    maps += [quantum_design_to_cp(functor_q(gen_projective_plane(d))) for d in (2, 3)]
+    maps += [quantum_design_to_cp(mub_verify(mub_generate(d, d + 1)).design) for d in (2, 3, 5)]
+    maps.append(superop_from_choi(ComplexMatrix(K2R2_4X4), 2, 2))
+    for f in maps:
+        rep = verify_cp_design(f)
+        assert rep.r is not None
+        assert (rep.lam, rep.lam_residual) == full_matrix_lam_search(f)

@@ -16,6 +16,7 @@ from designkit.quantum import (
     to_classical,
     validate,
 )
+from designkit.quantum import _cluster
 
 
 def basis_projectors(d):
@@ -165,6 +166,50 @@ def test_to_classical_rejects_noncommuting_family():
     design = mub_verify(mub_generate(2, 2)).design
     with pytest.raises(ValueError):
         to_classical(design)
+
+
+def test_to_classical_succeeds_exactly_when_classify_quantum_commutes():
+    # classify_quantum's pairwise commutators are the reference for the
+    # refinement's verdict.  The two measure different residuals, so they may
+    # differ within a few tolerances of the boundary; the rotation angles
+    # here stay orders of magnitude away from it on either side.
+    rng = np.random.default_rng(1209)
+    verdicts = set()
+    for _ in range(120):
+        v, b = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+        chi = rng.integers(0, 2, size=(v, b))
+        u = random_unitary(b, seed=int(rng.integers(2**31)))
+        stack = [u @ np.diag(row).astype(np.complex128) @ u.conj().T for row in chi]
+        eps = rng.choice([0.0, 1e-13, 1e-12, 1e-7, 1e-2])
+        i = int(rng.integers(v))
+        h = rng.normal(size=(b, b)) + 1j * rng.normal(size=(b, b))
+        w, vecs = np.linalg.eigh(h + h.conj().T)
+        rot = vecs @ np.diag(np.exp(1j * eps * w)) @ vecs.conj().T
+        stack[i] = rot @ stack[i] @ rot.conj().T
+        design = QuantumDesign(projectors=tuple(ComplexMatrix(p) for p in stack))
+        commutative = classify_quantum(design).commutative
+        verdicts.add(commutative)
+        if commutative:
+            back = to_classical(design)
+            if eps == 0.0:
+                assert sorted(zip(*back.chi.tolist())) == sorted(zip(*chi.tolist()))
+        else:
+            with pytest.raises(ValueError, match="do not pairwise commute"):
+                to_classical(design)
+    assert verdicts == {True, False}
+
+
+def test_to_classical_rejects_invalid_family():
+    with pytest.raises(ValueError, match="not a projector family: indices \\[0\\]"):
+        to_classical(QuantumDesign(projectors=(ComplexMatrix([[0.5, 0], [0, 0.5]]),)))
+
+
+def test_cluster_spread_never_exceeds_threshold():
+    values = [float(x) for x in np.linspace(0.0, 9e-7, 100)]
+    clusters = _cluster(values, 1e-8)
+    assert len(clusters) > 1
+    assert all(c[-1] - c[0] <= 1e-8 for c in clusters)
+    assert sorted(x for c in clusters for x in c) == values
 
 
 def test_tensor_q_parameters_multiply():
