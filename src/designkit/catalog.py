@@ -11,8 +11,10 @@ trailing newline, shortest round-trip rendering of binary64):
 * ``design-report/1``: emitted by the CLI; input digest, detected
   parameters, per-check verdicts, tool version.
 
-Parsing is strict: wrong schema, ragged rows, unexpected types and
-non-finite numbers all raise :class:`FormatError` with a position.
+Parsing is strict: wrong schema, ragged rows, unexpected types, non-finite
+numbers and integers beyond binary64 all raise :class:`FormatError` with a
+position.  Each matrix is checked and converted in bulk; only a refused
+matrix is walked entry by entry, to find the position of its first fault.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from __future__ import annotations
 import json
 import math
 from importlib import resources
+from itertools import chain
+from typing import NoReturn
 
 import numpy as np
 
@@ -83,30 +87,65 @@ def _nat(x, where: str) -> int:
 def _real(x, where: str) -> float:
     _require(isinstance(x, (int, float)) and not isinstance(x, bool),
              f"{where}: expected a number, got {x!r}")
-    val = float(x)
+    try:
+        val = float(x)
+    except OverflowError:
+        raise FormatError(f"{where}: number out of binary64 range") from None
     _require(math.isfinite(val), f"{where}: non-finite number")
     return val
 
 
-def _complex_entry(x, where: str) -> complex:
+def _complex_entry(x, where: str) -> None:
     _require(isinstance(x, list) and len(x) == 2, f"{where}: expected [re, im]")
-    return complex(_real(x[0], where + "[0]"), _real(x[1], where + "[1]"))
+    _real(x[0], where + "[0]")
+    _real(x[1], where + "[1]")
 
 
-def _complex_rows(rows, nrows: int, ncols: int, where: str) -> np.ndarray:
+def _only(items, kinds) -> bool:
+    # isinstance(x, kinds) and not a bool, for every x, decided once per type.
+    return all(issubclass(t, kinds) and not issubclass(t, bool) for t in set(map(type, items)))
+
+
+def _entries(rows, nrows: int, ncols: int) -> list | None:
+    """The entries of ``rows`` in row-major order if it is nrows lists of ncols, else None."""
+    if isinstance(rows, list) and len(rows) == nrows and _only(rows, list) \
+            and set(map(len, rows)) <= {ncols}:
+        return list(chain.from_iterable(rows))
+    return None
+
+
+def _rows_error(rows, nrows: int, ncols: int, where: str, entry) -> NoReturn:
+    """Raise the FormatError of the first fault in a matrix the bulk check refused.
+
+    ``entry(x, position)`` raises for a bad entry.
+    """
     _require(isinstance(rows, list) and len(rows) == nrows,
              f"{where}: expected {nrows} rows, got {len(rows) if isinstance(rows, list) else type(rows).__name__}")
-    out = np.zeros((nrows, ncols), dtype=np.complex128)
     for i, row in enumerate(rows):
         _require(isinstance(row, list) and len(row) == ncols,
                  f"{where} row {i} has {len(row) if isinstance(row, list) else '?'} entries, expected {ncols}")
-        for j, entry in enumerate(row):
-            out[i, j] = _complex_entry(entry, f"{where}[{i}][{j}]")
-    return out
+        for j, x in enumerate(row):
+            entry(x, f"{where}[{i}][{j}]")
+    raise AssertionError(f"{where}: the bulk check refused a matrix the entry walk accepts")
+
+
+def _complex_rows(rows, nrows: int, ncols: int, where: str) -> np.ndarray:
+    """An nrows x ncols matrix of [re, im] pairs, converted to binary64 in one step."""
+    # The entries are themselves nrows * ncols lists of 2; None if misshapen.
+    leaves = _entries(_entries(rows, nrows, ncols), nrows * ncols, 2)
+    if leaves is not None and _only(leaves, (int, float)):
+        try:
+            re_im = np.array(leaves, dtype=np.float64)
+        except OverflowError:  # an integer literal beyond binary64
+            pass
+        else:
+            if np.isfinite(re_im).all():
+                return re_im.view(np.complex128).reshape(nrows, ncols)
+    _rows_error(rows, nrows, ncols, where, _complex_entry)
 
 
 def _complex_matrix_doc(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def classical_to_doc(design: ClassicalDesign) -> dict:
@@ -125,14 +164,10 @@ def classical_from_doc(doc: dict) -> ClassicalDesign:
     b = _nat(_get(doc, "b", "document"), "b")
     _require(v >= 1 and b >= 1, "v and b must be >= 1")
     rows = _get(doc, "incidence", "document")
-    _require(isinstance(rows, list) and len(rows) == v,
-             f"incidence: expected {v} rows, got {len(rows) if isinstance(rows, list) else type(rows).__name__}")
-    data = []
-    for i, row in enumerate(rows):
-        _require(isinstance(row, list) and len(row) == b,
-                 f"incidence row {i} has {len(row) if isinstance(row, list) else '?'} entries, expected {b}")
-        data.append([_nat(x, f"incidence[{i}][{j}]") for j, x in enumerate(row)])
-    return ClassicalDesign(NatMatrix(data))
+    entries = _entries(rows, v, b)
+    if entries is not None and _only(entries, int) and min(entries) >= 0:
+        return ClassicalDesign(NatMatrix._raw(np.array(entries, dtype=object).reshape(v, b)))
+    _rows_error(rows, v, b, "incidence", _nat)
 
 
 def quantum_to_doc(design: QuantumDesign) -> dict:

@@ -198,7 +198,11 @@ def is_cp(f: CpMap, tol: Tolerance = DEFAULT_TOL) -> CpCheck:
     """Complete positivity via Choi positive semidefiniteness."""
     c = choi(f).m.a
     hermitian = tol.allclose(c, c.conj().T)
-    low = float(np.linalg.eigvalsh((c + c.conj().T) / 2.0)[0])
+    # Halve before adding: (c + c^dagger) / 2 overflows for entries near 1e308.
+    # In place, so that no more than three Choi-sized arrays are alive at once.
+    herm_part = c.conj().T / 2.0
+    herm_part += c / 2.0
+    low = float(np.linalg.eigvalsh(herm_part)[0])
     slack = tol.abs_eps + tol.rel_eps * float(np.abs(c).max(initial=0.0))
     return CpCheck(is_cp=hermitian and low >= -slack, min_eigenvalue=low, hermitian=hermitian)
 
@@ -210,7 +214,9 @@ def is_trace_preserving(f: CpMap, tol: Tolerance = DEFAULT_TOL) -> bool:
     """
     w_in = f.in_alg.identity_vector()
     w_out = f.out_alg.identity_vector()
-    return tol.allclose(w_out.conj() @ f.m.a, w_in)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traces = w_out.conj() @ f.m.a
+    return bool(np.isfinite(traces).all()) and tol.allclose(traces, w_in)
 
 
 def classical_to_cp(design: ClassicalDesign) -> CpMap:
@@ -346,6 +352,16 @@ class CpDesignReport:
     lam_balanced: bool
 
 
+def _gram(m: np.ndarray) -> np.ndarray:
+    """m m^dagger; raises ValueError naming the largest |entry| when it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = m @ m.conj().T
+    if not np.all(np.isfinite(gram)):
+        raise ValueError("m m^dagger is not finite; the largest |entry| of the map is "
+                         f"{float(np.abs(m).max())!r}")
+    return gram
+
+
 def verify_cp_design(f: CpMap, tol: Tolerance = DEFAULT_TOL) -> CpDesignReport:
     """Check the uniformity / regularity / balance conditions of a map.
 
@@ -356,12 +372,16 @@ def verify_cp_design(f: CpMap, tol: Tolerance = DEFAULT_TOL) -> CpDesignReport:
     m = f.m.a
     w_in = f.in_alg.identity_vector()
     w_out = f.out_alg.identity_vector()
-    row = w_out.conj() @ m
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = w_out.conj() @ m
+        col = m @ w_in
+    if not (np.isfinite(row).all() and np.isfinite(col).all()):
+        # A unit sum beyond binary64 needs an entry whose square is beyond it too.
+        _gram(m)
     k_est = complex(row @ w_in) / f.in_alg.n
     unif_res = float(np.abs(row - k_est * w_in.conj()).max())
     unif_slack = tol.abs_eps + tol.rel_eps * max(1.0, float(np.abs(row).max(initial=0.0)))
     k_ok = unif_res <= unif_slack and abs(k_est.imag) <= unif_slack
-    col = m @ w_in
     r_est = complex(w_out.conj() @ col) / f.out_alg.n
     reg_res = float(np.abs(col - r_est * w_out).max())
     reg_slack = tol.abs_eps + tol.rel_eps * max(1.0, float(np.abs(col).max(initial=0.0)))
@@ -369,11 +389,7 @@ def verify_cp_design(f: CpMap, tol: Tolerance = DEFAULT_TOL) -> CpDesignReport:
     lam = None
     lam_res = None
     if r_ok:
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram = m @ m.conj().T
-        if not np.all(np.isfinite(gram)):
-            raise ValueError("m m^dagger is not finite; the largest |entry| of the map is "
-                             f"{float(np.abs(m).max())!r}")
+        gram = _gram(m)
         eye = np.eye(f.out_alg.coord_dim, dtype=np.complex128)
         shape = np.outer(w_out, w_out.conj()) - eye
         base = gram - r_est.real * eye

@@ -111,9 +111,11 @@ def validate(design: QuantumDesign, tol: Tolerance = DEFAULT_TOL) -> ValidationR
     checks = []
     for i, p in enumerate(design.projectors):
         a = p.a
-        herm = float(np.abs(a - a.conj().T).max())
-        idem = float(np.abs(a @ a - a).max())
-        ok = tol.allclose(a, a.conj().T) and tol.allclose(a @ a, a)
+        a_h = a.conj().T
+        a_sq = a @ a
+        herm = float(np.abs(a - a_h).max())
+        idem = float(np.abs(a_sq - a).max())
+        ok = tol.allclose(a, a_h) and tol.allclose(a_sq, a)
         checks.append(
             ProjectorCheck(
                 index=i, hermiticity_residual=herm, idempotency_residual=idem, ok=ok

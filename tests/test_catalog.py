@@ -1,8 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from designkit import catalog
 from designkit.catalog import (
     FormatError,
     canonical_json,
@@ -17,10 +19,10 @@ from designkit.catalog import (
     quantum_from_doc,
     quantum_to_doc,
 )
-from designkit.classical import classify, gen_complete, gen_projective_plane
+from designkit.classical import ClassicalDesign, classify, gen_complete, gen_projective_plane
 from designkit.cpmaps import Algebra, CpMap, verify_cp_design
-from designkit.linalg import DEFAULT_TOL, ComplexMatrix
-from designkit.quantum import QuantumDesign, classify_quantum
+from designkit.linalg import DEFAULT_TOL, ComplexMatrix, NatMatrix
+from designkit.quantum import QuantumDesign, classify_quantum, mub_generate, mub_verify
 
 
 def test_canonical_json_is_sorted_compact_and_newline_terminated():
@@ -197,3 +199,271 @@ def test_catalog_cp_entry_is_the_exact_example_matrix():
 def test_dumps_rejects_unknown_objects():
     with pytest.raises(TypeError):
         dumps(42)
+
+
+# --- The per-entry walk that parsed every matrix before the bulk parser ---
+# It is kept here, unchanged but for the binary64-range check in _oracle_real,
+# as the reference the bulk parser must match: same accepted documents, same
+# values bit for bit, same FormatError messages.
+
+
+def _oracle_require(cond: bool, msg: str) -> None:
+    if not cond:
+        raise FormatError(msg)
+
+
+def _oracle_get(doc: dict, key: str, where: str):
+    _oracle_require(isinstance(doc, dict), f"{where}: expected an object")
+    _oracle_require(key in doc, f"{where}: missing key {key!r}")
+    return doc[key]
+
+
+def _oracle_nat(x, where: str) -> int:
+    _oracle_require(isinstance(x, int) and not isinstance(x, bool) and x >= 0,
+                    f"{where}: expected a nonnegative integer, got {x!r}")
+    return x
+
+
+def _oracle_real(x, where: str) -> float:
+    _oracle_require(isinstance(x, (int, float)) and not isinstance(x, bool),
+                    f"{where}: expected a number, got {x!r}")
+    try:
+        val = float(x)
+    except OverflowError:
+        raise FormatError(f"{where}: number out of binary64 range") from None
+    _oracle_require(math.isfinite(val), f"{where}: non-finite number")
+    return val
+
+
+def _oracle_complex_entry(x, where: str) -> complex:
+    _oracle_require(isinstance(x, list) and len(x) == 2, f"{where}: expected [re, im]")
+    return complex(_oracle_real(x[0], where + "[0]"), _oracle_real(x[1], where + "[1]"))
+
+
+def oracle_complex_rows(rows, nrows: int, ncols: int, where: str) -> np.ndarray:
+    _oracle_require(isinstance(rows, list) and len(rows) == nrows,
+                    f"{where}: expected {nrows} rows, got {len(rows) if isinstance(rows, list) else type(rows).__name__}")
+    out = np.zeros((nrows, ncols), dtype=np.complex128)
+    for i, row in enumerate(rows):
+        _oracle_require(isinstance(row, list) and len(row) == ncols,
+                        f"{where} row {i} has {len(row) if isinstance(row, list) else '?'} entries, expected {ncols}")
+        for j, entry in enumerate(row):
+            out[i, j] = _oracle_complex_entry(entry, f"{where}[{i}][{j}]")
+    return out
+
+
+def oracle_classical_from_doc(doc: dict) -> ClassicalDesign:
+    _oracle_require(_oracle_get(doc, "schema", "document") == "classical-design/1",
+                    "schema mismatch: expected 'classical-design/1'")
+    v = _oracle_nat(_oracle_get(doc, "v", "document"), "v")
+    b = _oracle_nat(_oracle_get(doc, "b", "document"), "b")
+    _oracle_require(v >= 1 and b >= 1, "v and b must be >= 1")
+    rows = _oracle_get(doc, "incidence", "document")
+    _oracle_require(isinstance(rows, list) and len(rows) == v,
+                    f"incidence: expected {v} rows, got {len(rows) if isinstance(rows, list) else type(rows).__name__}")
+    data = []
+    for i, row in enumerate(rows):
+        _oracle_require(isinstance(row, list) and len(row) == b,
+                        f"incidence row {i} has {len(row) if isinstance(row, list) else '?'} entries, expected {b}")
+        data.append([_oracle_nat(x, f"incidence[{i}][{j}]") for j, x in enumerate(row)])
+    return ClassicalDesign(NatMatrix(data))
+
+
+def oracle_matrix_doc(m: np.ndarray) -> list:
+    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+
+
+def _outcome(parse, doc):
+    """("ok", value) or (exception type name, message) for parse(doc)."""
+    try:
+        return "ok", parse(doc)
+    except Exception as exc:  # compared by type and message
+        return type(exc).__name__, str(exc)
+
+
+def _oracle_loads(text: str, monkeypatch):
+    doc = json.loads(text)
+    if doc.get("schema") == "classical-design/1":
+        return oracle_classical_from_doc(doc)
+    with monkeypatch.context() as m:
+        m.setattr(catalog, "_complex_rows", oracle_complex_rows)
+        return catalog.loads(text)
+
+
+def _same_value(a, b) -> bool:
+    if isinstance(a, ClassicalDesign):
+        return (isinstance(b, ClassicalDesign) and a.chi == b.chi
+                and {type(x) for x in a.chi.a.flat} == {type(x) for x in b.chi.a.flat} == {int})
+    if isinstance(a, QuantumDesign):
+        return (isinstance(b, QuantumDesign) and len(a.projectors) == len(b.projectors)
+                and all(p.a.dtype == q.a.dtype and p.a.shape == q.a.shape
+                        and p.a.tobytes() == q.a.tobytes()
+                        for p, q in zip(a.projectors, b.projectors)))
+    return (isinstance(b, CpMap) and (a.in_alg, a.out_alg) == (b.in_alg, b.out_alg)
+            and a.m.a.dtype == b.m.a.dtype and a.m.a.shape == b.m.a.shape
+            and a.m.a.tobytes() == b.m.a.tobytes())
+
+
+# Replacement values for one leaf or entry.  "@1e400@" becomes the bare
+# literal 1e400, which json reads as inf.
+_ODD_VALUES = [
+    True, False, None, "1", "0.5", "", [], [0], [0, 0], [[0.5, 0.0]], {},
+    float("nan"), float("inf"), float("-inf"), "@1e400@", -0.0, 0.0, -1, 0, 1, 2, 0.5,
+    1.0, -2.5e-300, 5e-324, 2**53 + 1, 2**63, 2**64 + 3, 10**400, -(10**400),
+    2**1024 - 2**970, 2**1024 - 2**971, 1e308, -1.7976931348623157e308,
+]
+
+
+def _random_valid_doc(rng):
+    kind = rng.integers(3)
+    if kind == 0:
+        v, b = (int(x) for x in rng.integers(1, 5, size=2))
+        chi = rng.integers(0, 3, size=(v, b)).tolist()
+        if rng.random() < 0.2:
+            chi[rng.integers(v)][rng.integers(b)] = 2**64 + int(rng.integers(100))
+        return {"schema": "classical-design/1", "v": v, "b": b, "incidence": chi}
+
+    def matrix(nrows, ncols):
+        vals = rng.standard_normal((nrows, ncols, 2)) * 10.0 ** rng.integers(-5, 5)
+        out = vals.tolist()
+        if rng.random() < 0.3:  # integer literals, as hand-written documents have
+            out[rng.integers(nrows)][rng.integers(ncols)] = [int(rng.integers(-9, 9)), 0]
+        return out
+
+    if kind == 1:
+        dim = int(rng.integers(1, 4))
+        count = int(rng.integers(1, 4))
+        return {"schema": "quantum-design/1", "dim": dim,
+                "projectors": [matrix(dim, dim) for _ in range(count)]}
+    algs = []
+    for _ in range(2):
+        k = ("commutative", "matrix")[rng.integers(2)]
+        n = int(rng.integers(1, 3))
+        algs.append(({"kind": k, "n": n}, n * n if k == "matrix" else n))
+    (alg_in, d_in), (alg_out, d_out) = algs
+    return {"schema": "cp-map/1", "convention": "superoperator", "in": alg_in,
+            "out": alg_out, "matrix": matrix(d_out, d_in)}
+
+
+def _matrices(doc):
+    if doc["schema"] == "classical-design/1":
+        return [doc["incidence"]]
+    if doc["schema"] == "quantum-design/1":
+        return doc["projectors"]
+    return [doc["matrix"]]
+
+
+def _mutate(doc, rng) -> str:
+    """Spoil one place of one matrix; returns a short name of what was done."""
+    mats = _matrices(doc)
+    rows = mats[rng.integers(len(mats))]
+    if not (isinstance(rows, list) and rows):
+        return "none"
+    i = int(rng.integers(len(rows)))
+    if not (isinstance(rows[i], list) and rows[i]):
+        return "none"
+    j = int(rng.integers(len(rows[i])))
+    odd = _ODD_VALUES[rng.integers(len(_ODD_VALUES))]
+    pair = isinstance(rows[i][j], list) and len(rows[i][j]) == 2
+    what = ("leaf", "entry", "leaf", "drop-entry", "add-entry", "drop-row", "row",
+            "deeper", "short-pair", "long-pair")[rng.integers(10)]
+    if what == "leaf" and pair:
+        rows[i][j][rng.integers(2)] = odd
+    elif what in ("leaf", "entry"):
+        rows[i][j] = odd
+    elif what == "drop-entry":
+        del rows[i][j]
+    elif what == "add-entry":
+        rows[i].append(rows[i][j])
+    elif what == "drop-row":
+        del rows[i]
+    elif what == "row":
+        rows[i] = odd
+    elif what == "deeper":
+        rows[i][j] = [rows[i][j]]
+    elif what == "short-pair":
+        rows[i][j] = [1.0]
+    else:
+        rows[i][j] = [1.0, 0.0, 0.0]
+    return what
+
+
+_FAULTS = ("number out of binary64 range", "non-finite number", "expected [re, im]",
+           "expected a number", "expected a nonnegative integer", "rows, got", " entries, expected")
+
+
+def test_bulk_parser_matches_the_entry_walk_on_seeded_documents(monkeypatch):
+    rng = np.random.default_rng(20230)
+    outcomes = {"ok": 0}
+    mutations = set()
+    for trial in range(1500):
+        doc = _random_valid_doc(rng)
+        if trial % 4:
+            for _ in range(int(rng.integers(1, 3))):
+                mutations.add(_mutate(doc, rng))
+        text = json.dumps(doc).replace('"@1e400@"', "1e400")
+        got = _outcome(loads, text)
+        want = _outcome(lambda t: _oracle_loads(t, monkeypatch), text)
+        assert got[0] == want[0], (text, got, want)
+        if got[0] == "ok":
+            assert _same_value(got[1], want[1]), text
+            outcomes["ok"] += 1
+        else:
+            assert got[0] == "FormatError", (text, got)
+            assert got[1] == want[1], text
+            kind = next(k for k in _FAULTS if k in got[1])
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert mutations - {"none"} == {"leaf", "entry", "drop-entry", "add-entry", "drop-row",
+                                    "row", "deeper", "short-pair", "long-pair"}
+    assert outcomes["ok"] > 400
+    assert all(outcomes.get(kind, 0) >= 5 for kind in _FAULTS), outcomes
+
+
+def _haar(n, rng):
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _pair_rows(m):
+    return np.stack([m.real, m.imag], axis=-1).tolist()
+
+
+def _benchmark_style_texts():
+    """Canonical documents of the kinds the benchmark feeds the CLI, rendered with numpy."""
+    rng = np.random.default_rng(7)
+    texts = []
+    for d in (2, 3):
+        chi = gen_projective_plane(d).chi.tolist()
+        texts.append(canonical_json({"schema": "classical-design/1", "v": len(chi),
+                                     "b": len(chi[0]), "incidence": chi}))
+        b = len(chi[0])
+        u = _haar(b, rng)
+        stack = [u @ np.diag(np.array(row, dtype=np.complex128)) @ u.conj().T for row in chi]
+        texts.append(canonical_json({"schema": "quantum-design/1", "dim": b,
+                                     "projectors": [_pair_rows(p) for p in stack]}))
+        texts.append(canonical_json({
+            "schema": "cp-map/1", "convention": "superoperator",
+            "in": {"kind": "commutative", "n": b}, "out": {"kind": "commutative", "n": len(chi)},
+            "matrix": _pair_rows(np.array(chi, dtype=np.complex128))}))
+    for d in (3, 5):
+        texts.append(dumps(mub_verify(mub_generate(d, d + 1)).design))
+    for n in (2, 3, 4):
+        weights = rng.dirichlet(np.ones(3))
+        m = sum(w * np.kron(u, u.conj()) for w, u in zip(weights, (_haar(n, rng) for _ in range(3))))
+        for mat in (m, m.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)):
+            texts.append(canonical_json({
+                "schema": "cp-map/1", "convention": "superoperator",
+                "in": {"kind": "matrix", "n": n}, "out": {"kind": "matrix", "n": n},
+                "matrix": _pair_rows(mat)}))
+    return texts
+
+
+def test_benchmark_style_documents_round_trip_byte_for_byte(monkeypatch):
+    for text in _benchmark_style_texts():
+        obj = loads(text)
+        assert dumps(obj) == text
+        assert _same_value(obj, _oracle_loads(text, monkeypatch))
+        with monkeypatch.context() as m:
+            m.setattr(catalog, "_complex_matrix_doc", oracle_matrix_doc)
+            assert catalog.dumps(obj) == text

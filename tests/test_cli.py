@@ -1,6 +1,7 @@
 import io
 import json
 import time
+import warnings
 
 import pytest
 
@@ -147,6 +148,40 @@ def test_verify_cpmap_names_largest_entry_when_gram_overflows(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: m m^dagger is not finite; the largest |entry| of the map is 1e+300\n"
+
+
+def test_verify_cpmap_near_binary64_limit_gives_named_error_without_warnings(tmp_path, capsys):
+    # is_cp stays finite here; the unit sums and m m^dagger do not, so the map
+    # is refused with the named message instead of a numpy warning.
+    near_max = ComplexMatrix([[1e308] * 2] * 2)
+    f = CpMap(Algebra.commutative(2), Algebra.commutative(2), near_max)
+    path = write(tmp_path, "near-max.json", dumps(f))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "verify-cpmap", path, "--json")
+    assert code == 2
+    assert out == ""
+    assert err == "error: m m^dagger is not finite; the largest |entry| of the map is 1e+308\n"
+
+
+@pytest.mark.parametrize("command, schema_doc, position", [
+    ("verify-quantum",
+     {"schema": "quantum-design/1", "dim": 1, "projectors": [[[["BIG", 0]]]]},
+     "projectors[0][0][0][0]"),
+    ("verify-cpmap",
+     {"schema": "cp-map/1", "convention": "superoperator",
+      "in": {"kind": "commutative", "n": 2}, "out": {"kind": "commutative", "n": 2},
+      "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, "BIG"]]]},
+     "matrix[1][1][1]"),
+])
+def test_oversize_integer_literal_is_a_format_error_with_position(
+        tmp_path, capsys, command, schema_doc, position):
+    text = canonical_json(schema_doc).replace('"BIG"', "1" + "0" * 400)
+    path = write(tmp_path, "oversize.json", text)
+    code, out, err = run(capsys, command, path, "--json")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {position}: number out of binary64 range\n"
 
 
 def test_generate_complete_then_verify(tmp_path, capsys):

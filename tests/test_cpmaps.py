@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,16 @@ def test_is_trace_preserving():
     assert is_trace_preserving(depolarizing_map())
     assert is_trace_preserving(transpose_map())
     assert not is_trace_preserving(example_4x4_map())
+
+
+def test_is_cp_and_trace_preservation_stay_finite_near_binary64_limit():
+    # Column sums of 2e308 overflow; the map is CP and is not trace preserving.
+    f = CpMap(Algebra.commutative(2), Algebra.commutative(2), ComplexMatrix([[1e308] * 2] * 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check = is_cp(f)
+        assert check.is_cp and check.min_eigenvalue == 1e308
+        assert not is_trace_preserving(f)
 
 
 def test_classical_to_cp_trace_preservation_after_normalization():

@@ -66,6 +66,37 @@ def test_validate_reports_residuals_for_failures():
     assert not rep.checks[1].ok and rep.checks[1].idempotency_residual == 0.25
 
 
+def _validate_reference(design, tol=DEFAULT_TOL):
+    # validate as it was before it shared a^dagger and a @ a between the
+    # residuals and the verdict.
+    out = []
+    for p in design.projectors:
+        a = p.a
+        herm = float(np.abs(a - a.conj().T).max())
+        idem = float(np.abs(a @ a - a).max())
+        ok = tol.allclose(a, a.conj().T) and tol.allclose(a @ a, a)
+        out.append((herm, idem, ok))
+    return out
+
+
+def test_validate_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        n = int(rng.integers(1, 9))
+        u = random_unitary(n, trial)
+        projectors = []
+        for _ in range(int(rng.integers(1, 5))):
+            diag = rng.integers(0, 2, size=n).astype(np.complex128)
+            a = u @ np.diag(diag) @ u.conj().T
+            if rng.random() < 0.5:  # a near miss or a clear failure
+                a = a + 10.0 ** rng.integers(-14, 0) * rng.standard_normal((n, n))
+            projectors.append(ComplexMatrix(a))
+        rep = validate(QuantumDesign(projectors=tuple(projectors)))
+        got = [(c.hermiticity_residual, c.idempotency_residual, c.ok) for c in rep.checks]
+        assert got == _validate_reference(QuantumDesign(projectors=tuple(projectors)))
+        assert rep.ok == all(ok for _, _, ok in got)
+
+
 def test_classify_quantum_functor_image():
     p = classify_quantum(functor_q(gen_projective_plane(2)))
     assert p.r == 3
