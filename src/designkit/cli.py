@@ -51,6 +51,7 @@ from .cpmaps import (
 from .linalg import Tolerance
 from .quantum import (
     QuantumDesign,
+    _NotFinite,
     check_identities_q,
     classify_quantum,
     mub_generate,
@@ -311,6 +312,8 @@ def cmd_convert(args) -> int:
         design = _load_as(text, QuantumDesign, "quantum-design/1")
     try:
         out = functor_q(design) if args.direction == "c2q" else to_classical(design, tol)
+    except _NotFinite:
+        raise
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -11,7 +11,9 @@ Conventions, fixed package-wide:
   (i, j) block is the image of the matrix unit E_ij.
 
 Commutative legs embed into matrix algebras as diagonals (E_ii maps through,
-E_ij with i != j maps to 0) whenever a Choi-based check needs them.
+E_ij with i != j maps to 0) whenever a Choi matrix is built.  The Choi matrix
+of a map with a commutative leg is then a direct sum of small blocks, which
+``is_cp`` reads straight off the superoperator instead.
 """
 
 from __future__ import annotations
@@ -123,17 +125,11 @@ def unvec(x: np.ndarray, n: int) -> np.ndarray:
     return x.reshape(n, n)
 
 
-def _diag_selector(n: int) -> np.ndarray:
-    # (n, n^2): picks the diagonal coordinates out of vec(X).
-    s = np.zeros((n, n * n), dtype=np.complex128)
-    for i in range(n):
-        s[i, i * n + i] = 1.0
-    return s
-
-
 def _diag_embedder(n: int) -> np.ndarray:
     # (n^2, n): places a coordinate vector on the diagonal of vec form.
-    return _diag_selector(n).T.copy()
+    e = np.zeros((n * n, n), dtype=np.complex128)
+    e[:: n + 1] = np.eye(n)
+    return e
 
 
 def embed_commutative(f: CpMap) -> CpMap:
@@ -146,16 +142,13 @@ def embed_commutative(f: CpMap) -> CpMap:
     """
     if f.in_alg.kind == MATRIX and f.out_alg.kind == MATRIX:
         return f
-    m = f.m.a
-    if f.in_alg.kind == COMMUTATIVE:
-        m = m @ _diag_selector(f.in_alg.n)
-    if f.out_alg.kind == COMMUTATIVE:
-        m = _diag_embedder(f.out_alg.n) @ m
-    return CpMap(
-        in_alg=Algebra.matrix(f.in_alg.n),
-        out_alg=Algebra.matrix(f.out_alg.n),
-        m=ComplexMatrix(m),
-    )
+    ni, no = f.in_alg.n, f.out_alg.n
+    # The diagonal of an n x n matrix sits at every (n+1)-th vec coordinate.
+    rows = slice(None) if f.out_alg.kind == MATRIX else slice(None, None, no + 1)
+    cols = slice(None) if f.in_alg.kind == MATRIX else slice(None, None, ni + 1)
+    m = np.zeros((no * no, ni * ni), dtype=np.complex128)
+    m[rows, cols] = f.m.a
+    return CpMap(in_alg=Algebra.matrix(ni), out_alg=Algebra.matrix(no), m=ComplexMatrix(m))
 
 
 def choi(f: CpMap) -> ChoiMatrix:
@@ -194,15 +187,35 @@ class CpCheck:
     hermitian: bool
 
 
+def _choi_blocks(f: CpMap) -> np.ndarray:
+    """Diagonal blocks of the Choi matrix, stacked; every other entry is 0.
+
+    A commutative leg makes the Choi matrix a direct sum, up to one
+    permutation applied to rows and columns alike: block i of a map out of
+    Commutative(n) is f(E_ii), and block k of a map into Commutative(n) is
+    the k-th output coordinate as a functional on the input matrix.  A
+    Matrix -> Matrix map has one block, the whole Choi matrix.
+    """
+    m = f.m.a
+    ni, no = f.in_alg.n, f.out_alg.n
+    if f.in_alg.kind == MATRIX and f.out_alg.kind == MATRIX:
+        return choi(f).m.a[np.newaxis]
+    if f.in_alg.kind == MATRIX:
+        return m.reshape(no, ni, ni)
+    if f.out_alg.kind == MATRIX:
+        return m.T.reshape(ni, no, no)
+    return m.reshape(no * ni, 1, 1)
+
+
 def is_cp(f: CpMap, tol: Tolerance = DEFAULT_TOL) -> CpCheck:
-    """Complete positivity via Choi positive semidefiniteness."""
-    c = choi(f).m.a
-    hermitian = tol.allclose(c, c.conj().T)
+    """Complete positivity via Choi positive semidefiniteness, block by block."""
+    c = _choi_blocks(f)
+    c_h = c.conj().swapaxes(-1, -2)
+    hermitian = tol.allclose(c, c_h)
     # Halve before adding: (c + c^dagger) / 2 overflows for entries near 1e308.
-    # In place, so that no more than three Choi-sized arrays are alive at once.
-    herm_part = c.conj().T / 2.0
+    herm_part = c_h / 2.0
     herm_part += c / 2.0
-    low = float(np.linalg.eigvalsh(herm_part)[0])
+    low = float(np.linalg.eigvalsh(herm_part).min())
     slack = tol.abs_eps + tol.rel_eps * float(np.abs(c).max(initial=0.0))
     return CpCheck(is_cp=hermitian and low >= -slack, min_eigenvalue=low, hermitian=hermitian)
 

@@ -13,6 +13,7 @@ Every floating-point comparison in the package goes through
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,7 +37,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Comparison slack: x ~ y iff ``|x - y| <= abs_eps + rel_eps * max(|x|, |y|)``."""
+    """Comparison slack: x ~ y iff ``|x - y| <= abs_eps + rel_eps * max(|x|, |y|)``
+    and ``|x - y|`` is finite."""
 
     abs_eps: float = 1e-9
     rel_eps: float = 1e-9
@@ -46,17 +48,20 @@ class Tolerance:
             raise ValueError("tolerance parameters must be nonnegative")
 
     def close(self, x, y) -> bool:
-        """Tol-equality for real or complex scalars."""
-        return abs(x - y) <= self.abs_eps + self.rel_eps * max(abs(x), abs(y))
+        """Tol-equality for real or complex scalars; never across a non-finite gap."""
+        d = abs(x - y)
+        # The slack is inf too when x or y is, so the gap must be finite.
+        return d <= self.abs_eps + self.rel_eps * max(abs(x), abs(y)) and d < math.inf
 
     def allclose(self, a, b) -> bool:
-        """Entrywise tol-equality of two arrays; False on shape mismatch."""
+        """Entrywise tol-equality of two arrays; False on shape mismatch or a non-finite gap."""
         a = np.asarray(a)
         b = np.asarray(b)
         if a.shape != b.shape:
             return False
         slack = self.abs_eps + self.rel_eps * np.maximum(np.abs(a), np.abs(b))
-        return bool(np.all(np.abs(a - b) <= slack))
+        d = np.abs(a - b)
+        return bool(((d <= slack) & (d < np.inf)).all())
 
     def near_int(self, x) -> int | None:
         """Nearest integer if ``x`` is tol-equal to one, else None."""

@@ -106,13 +106,25 @@ class QuantumParams:
         return self.lam_set[0] if self.degree == 1 else None
 
 
+class _NotFinite(ValueError):
+    """A projector whose square leaves binary64: out-of-range input, not a failed check."""
+
+
 def validate(design: QuantumDesign, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
-    """Check p = p^dagger = p^2 for every family member, with residuals."""
+    """Check p = p^dagger = p^2 for every family member, with residuals.
+
+    Raises ValueError naming the projector and its largest |entry| when p p
+    is not finite in binary64.
+    """
     checks = []
     for i, p in enumerate(design.projectors):
         a = p.a
         a_h = a.conj().T
-        a_sq = a @ a
+        with np.errstate(over="ignore", invalid="ignore"):
+            a_sq = a @ a
+        if not np.isfinite(a_sq).all():
+            raise _NotFinite(f"projector {i}: p p is not finite; its largest |entry| is "
+                             f"{float(np.abs(a).max())!r}")
         herm = float(np.abs(a - a_h).max())
         idem = float(np.abs(a_sq - a).max())
         ok = tol.allclose(a, a_h) and tol.allclose(a_sq, a)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -467,3 +471,27 @@ def test_benchmark_style_documents_round_trip_byte_for_byte(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(catalog, "_complex_matrix_doc", oracle_matrix_doc)
             assert catalog.dumps(obj) == text
+
+
+def test_bundled_catalog_matches_build_script(tmp_path):
+    # Run the script as its README line does, from a checkout without an
+    # installed designkit, with DATA rebound to a scratch directory.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    rebind_and_run = (
+        "import importlib.util, pathlib, sys\n"
+        "spec = importlib.util.spec_from_file_location('build_catalog', sys.argv[1])\n"
+        "module = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(module)\n"
+        "module.DATA = pathlib.Path(sys.argv[2])\n"
+        "module.main()\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    subprocess.run(
+        [sys.executable, "-c", rebind_and_run, str(root / "tools" / "build_catalog.py"), str(tmp_path)],
+        cwd=tmp_path, env=env, check=True, capture_output=True,
+    )
+    bundled = root / "src" / "designkit" / "data"
+    names = sorted(p.name for p in bundled.glob("*.json"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (bundled / name).read_bytes(), name

@@ -10,6 +10,7 @@ from designkit.classical import ClassicalDesign
 from designkit.cli import main
 from designkit.cpmaps import Algebra, CpMap
 from designkit.linalg import ComplexMatrix, NatMatrix
+from designkit.quantum import QuantumDesign
 
 
 def run(capsys, *argv):
@@ -162,6 +163,19 @@ def test_verify_cpmap_near_binary64_limit_gives_named_error_without_warnings(tmp
     assert code == 2
     assert out == ""
     assert err == "error: m m^dagger is not finite; the largest |entry| of the map is 1e+308\n"
+
+
+@pytest.mark.parametrize("argv", [["verify-quantum", "--json"], ["convert", "q2c"]])
+def test_overflowing_projector_gives_named_error_without_warnings(tmp_path, capsys, argv):
+    # p p overflows, so neither the projector check nor the joint eigenbasis
+    # can be computed in binary64.
+    path = write(tmp_path, "big.json", dumps(QuantumDesign((ComplexMatrix([[1e200]]),))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, argv[0], *argv[1:], path)
+    assert code == 2
+    assert out == ""
+    assert err == "error: projector 0: p p is not finite; its largest |entry| is 1e+200\n"
 
 
 @pytest.mark.parametrize("command, schema_doc, position", [

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from designkit import cpmaps
 from designkit.classical import ClassicalDesign, HomPair, classify, gen_complete, gen_projective_plane
 from designkit.cpmaps import (
     Algebra,
@@ -448,3 +449,151 @@ def test_lam_search_matches_full_matrix_reference_exactly():
         rep = verify_cp_design(f)
         assert rep.r is not None
         assert (rep.lam, rep.lam_residual) == full_matrix_lam_search(f)
+
+
+def diag_selector(n):
+    # Reference: (n, n^2) 0/1 matrix picking the diagonal out of vec(X).
+    s = np.zeros((n, n * n), dtype=np.complex128)
+    for i in range(n):
+        s[i, i * n + i] = 1.0
+    return s
+
+
+def product_embed(f):
+    # Reference: commutative legs embedded by dense products with 0/1 selectors.
+    m = f.m.a
+    if f.in_alg.kind == "commutative":
+        m = m @ diag_selector(f.in_alg.n)
+    if f.out_alg.kind == "commutative":
+        m = diag_selector(f.out_alg.n).T @ m
+    return m
+
+
+def dense_choi(f):
+    ni, no = f.in_alg.n, f.out_alg.n
+    return product_embed(f).reshape(no, no, ni, ni).transpose(2, 0, 3, 1).reshape(ni * no, ni * no)
+
+
+def dense_is_cp(f, tol=DEFAULT_TOL):
+    # Reference: one eigvalsh over the whole Choi matrix.
+    c = dense_choi(f)
+    hermitian = tol.allclose(c, c.conj().T)
+    herm_part = c.conj().T / 2.0
+    herm_part += c / 2.0
+    low = float(np.linalg.eigvalsh(herm_part)[0])
+    slack = tol.abs_eps + tol.rel_eps * float(np.abs(c).max(initial=0.0))
+    return hermitian and low >= -slack, low, hermitian, float(np.abs(c).max(initial=0.0))
+
+
+def seeded_maps(rng):
+    # Maps on all four algebra pairs; per pair CP, not CP and not Hermitian.
+    def gauss(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    def psd(n, rank):
+        g = gauss(n, rank)
+        return g @ g.conj().T
+
+    def herm(n):
+        h = gauss(n, n)
+        return h + h.conj().T
+
+    def skew_last(blocks):
+        # An anti-Hermitian part in the last block only: the Hermitian part
+        # stays PSD, but the map does not preserve Hermiticity.
+        h = gauss(*blocks[-1].shape)
+        return blocks[:-1] + [blocks[-1] + h - h.conj().T]
+
+    maps = []
+    for _ in range(6):
+        ni, no = (int(x) for x in rng.integers(1, 6, size=2))
+        rank = int(rng.integers(1, ni + 1))
+        images = [psd(no, rank) for _ in range(ni)]
+        functionals = [psd(ni, rank) for _ in range(no)]
+        weights = [rng.random(size=(1, 1)) for _ in range(ni * no)]
+        maps += [
+            # Commutative -> Matrix: column i is vec f(E_ii).
+            *(CpMap(Algebra.commutative(ni), Algebra.matrix(no),
+                    ComplexMatrix(np.column_stack([vec(b) for b in bs])))
+              for bs in (images, skew_last(images))),
+            CpMap(Algebra.commutative(ni), Algebra.matrix(no),
+                  ComplexMatrix(np.column_stack([vec(herm(no)) for _ in range(ni)]))),
+            CpMap(Algebra.commutative(ni), Algebra.matrix(no), ComplexMatrix(gauss(no * no, ni))),
+            # Matrix -> Commutative: row k is the functional X -> sum M_k[i, j] X[i, j].
+            *(CpMap(Algebra.matrix(ni), Algebra.commutative(no),
+                    ComplexMatrix(np.vstack([vec(b) for b in bs])))
+              for bs in (functionals, skew_last(functionals))),
+            CpMap(Algebra.matrix(ni), Algebra.commutative(no),
+                  ComplexMatrix(np.vstack([vec(herm(ni)) for _ in range(no)]))),
+            CpMap(Algebra.matrix(ni), Algebra.commutative(no), ComplexMatrix(gauss(no, ni * ni))),
+            *(CpMap(Algebra.commutative(ni), Algebra.commutative(no),
+                    ComplexMatrix(np.reshape(bs, (no, ni))))
+              for bs in (weights, skew_last(weights))),
+            CpMap(Algebra.commutative(ni), Algebra.commutative(no),
+                  ComplexMatrix(rng.normal(size=(no, ni)))),
+            CpMap(Algebra.commutative(ni), Algebra.commutative(no), ComplexMatrix(gauss(no, ni))),
+            mixed_unitary_channel(no, rng),
+            CpMap(Algebra.matrix(ni), Algebra.matrix(no), ComplexMatrix(gauss(no * no, ni * ni))),
+        ]
+    maps.append(transpose_map())
+    for d in (2, 3, 5):
+        plane = classical_to_cp(gen_projective_plane(d))
+        maps += [plane, quantum_design_to_cp(functor_q(gen_projective_plane(d)))]
+    for d, count in ((2, 3), (3, 4), (5, 6), (7, 8)):
+        povm = quantum_design_to_cp(mub_verify(mub_generate(d, count)).design)
+        # The adjoint reads the measurement statistics X -> (Tr p_i X)_i.
+        maps += [povm, CpMap(povm.out_alg, povm.in_alg, ComplexMatrix(povm.m.a.conj().T))]
+    # Entries near the top of the binary64 range.
+    for f in list(maps[:22]):
+        top = f.m.a / float(np.abs(f.m.a).max()) * 1e308
+        maps.append(CpMap(f.in_alg, f.out_alg, ComplexMatrix(top)))
+    return maps
+
+
+def test_embed_commutative_and_choi_match_dense_products_exactly():
+    rng = np.random.default_rng(4401)
+    maps = seeded_maps(rng)
+    assert {(f.in_alg.kind, f.out_alg.kind) for f in maps} == {
+        (a, b) for a in ("commutative", "matrix") for b in ("commutative", "matrix")
+    }
+    for f in maps:
+        g = embed_commutative(f)
+        assert np.array_equal(g.m.a, product_embed(f))
+        assert np.array_equal(choi(f).m.a, dense_choi(f))
+
+
+def test_is_cp_blocks_match_dense_choi_reference():
+    rng = np.random.default_rng(4402)
+    seen = set()
+    # The Hermiticity gap of a non-Hermitian map near 1e308 overflows to inf,
+    # which is not close.
+    with np.errstate(over="ignore"):
+        for f in seeded_maps(rng):
+            check = is_cp(f)
+            want_cp, want_low, want_hermitian, cmax = dense_is_cp(f)
+            pair = (f.in_alg.kind, f.out_alg.kind)
+            assert (check.is_cp, check.hermitian) == (want_cp, want_hermitian)
+            # LAPACK rescales a matrix whose norm is beyond about 1e146 but
+            # returns a 1 x 1 one as it is, so near 1e308 a Commutative ->
+            # Commutative map may differ from the dense reference in the last bit.
+            if pair == ("matrix", "matrix") or (pair[0] == pair[1] and cmax < 1e146):
+                assert check.min_eigenvalue == want_low
+            elif check.min_eigenvalue != want_low:  # both may be -inf near 1e308
+                assert abs(check.min_eigenvalue - want_low) <= 1e-12 * max(1.0, cmax)
+            seen.add((pair, check.is_cp, check.hermitian))
+    # Every algebra pair shows CP, Hermitian but not CP, and non-Hermitian maps.
+    assert len(seen) == 12
+
+
+def test_is_cp_never_builds_the_choi_matrix_for_a_commutative_leg(monkeypatch):
+    def refuse(f):
+        raise AssertionError("dense Choi matrix built")
+
+    maps = [f for f in seeded_maps(np.random.default_rng(4403))
+            if "commutative" in (f.in_alg.kind, f.out_alg.kind)]
+    with np.errstate(over="ignore"):
+        want = [is_cp(f) for f in maps]
+        monkeypatch.setattr(cpmaps, "choi", refuse)
+        assert [is_cp(f) for f in maps] == want
+    with pytest.raises(AssertionError):
+        is_cp(identity_map(2))

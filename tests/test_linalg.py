@@ -36,6 +36,24 @@ def test_tolerance_allclose_shape_mismatch_is_false():
     assert not DEFAULT_TOL.allclose(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
+def test_tolerance_never_counts_a_non_finite_gap_as_close():
+    tol = Tolerance(abs_eps=1e-9, rel_eps=1e-9)
+    inf = float("inf")
+    cases = ((inf, 1.0), (1.0, -inf), (complex(inf, 0.0), 0.0), (inf, inf),
+             (np.float64(inf), np.float64(2.0)), (float("nan"), 1.0))
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN
+        for x, y in cases:
+            assert not tol.close(x, y)
+            assert not tol.allclose([x, 1.0], [y, 1.0])
+    assert not tol.allclose(np.full((2, 2), inf), np.ones((2, 2)))
+    with np.errstate(over="ignore"):
+        assert not tol.allclose([1e308], [-1e308])  # the gap overflows
+    # Finite inputs keep their verdicts, also at the top of the binary64 range.
+    assert tol.close(1e308, 1e308 * (1 + 5e-10))
+    assert tol.allclose([1e308, 0.0], [1e308 * (1 + 5e-10), 5e-10])
+    assert not tol.allclose([1e308], [1e307])
+
+
 def test_tolerance_near_int():
     assert DEFAULT_TOL.near_int(3.0 + 1e-12) == 3
     assert DEFAULT_TOL.near_int(2.5) is None

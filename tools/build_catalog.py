@@ -6,6 +6,11 @@ Run from the repository root:  python3 tools/build_catalog.py
 from __future__ import annotations
 
 import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# designkit need not be installed: import it from this checkout.
+sys.path.insert(0, str(ROOT / "src"))
 
 from designkit.catalog import dumps
 from designkit.classical import gen_complete, gen_projective_plane
@@ -13,7 +18,7 @@ from designkit.cpmaps import Algebra, CpMap
 from designkit.linalg import ComplexMatrix
 from designkit.quantum import mub_generate, mub_verify
 
-DATA = pathlib.Path(__file__).resolve().parent.parent / "src" / "designkit" / "data"
+DATA = ROOT / "src" / "designkit" / "data"
 
 
 def cp_k2r2() -> CpMap:
