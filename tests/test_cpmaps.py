@@ -481,8 +481,9 @@ def dense_is_cp(f, tol=DEFAULT_TOL):
     herm_part = c.conj().T / 2.0
     herm_part += c / 2.0
     low = float(np.linalg.eigvalsh(herm_part)[0])
-    slack = tol.abs_eps + tol.rel_eps * float(np.abs(c).max(initial=0.0))
-    return hermitian and low >= -slack, low, hermitian, float(np.abs(c).max(initial=0.0))
+    cmax = float(np.abs(c).max(initial=0.0))
+    slack = tol.abs_eps + tol.rel_eps * cmax
+    return hermitian and low >= -slack, low, hermitian, cmax
 
 
 def seeded_maps(rng):
