@@ -215,8 +215,13 @@ def is_cp(f: CpMap, tol: Tolerance = DEFAULT_TOL) -> CpCheck:
     # Halve before adding: (c + c^dagger) / 2 overflows for entries near 1e308.
     herm_part = c_h / 2.0
     herm_part += c / 2.0
-    low = float(np.linalg.eigvalsh(herm_part).min())
-    slack = tol.abs_eps + tol.rel_eps * float(np.abs(c).max(initial=0.0))
+    eigenvalues = np.linalg.eigvalsh(herm_part)
+    top = float(np.abs(c).max(initial=0.0))
+    if not np.isfinite(eigenvalues).all():
+        raise ValueError("Choi eigenvalues are not finite; the largest |entry| of the map is "
+                         f"{top!r}")
+    low = float(eigenvalues.min())
+    slack = tol.abs_eps + tol.rel_eps * top
     return CpCheck(is_cp=hermitian and low >= -slack, min_eigenvalue=low, hermitian=hermitian)
 
 
@@ -326,14 +331,18 @@ def functor_q_on_hom(
     f_v = _subset_matrix(hom.f_v, dst.v)
     f_b = _subset_matrix(hom.f_b, dst.b)
     hom_res = float(np.abs(f_v @ chi_s - chi_d @ f_b).max())
-    delta_s = _diag_embedder(src.b)
-    delta_d = _diag_embedder(dst.b)
-    emb_res = float(np.abs(np.kron(f_b, f_b) @ delta_s - delta_d @ f_b).max())
-    mu_s = delta_s.T
-    mu_d = delta_d.T
-    outer_res = float(
-        np.abs(chi_d @ mu_d @ np.kron(f_b, f_b) - f_v @ chi_s @ mu_s).max()
-    )
+    # F_b (x) F_b is a b'^2 x b^2 selector, so both products with it are read
+    # off by index: (F_b (x) F_b) Delta has column j = e_(f(j), f(j)), and
+    # mu' (F_b (x) F_b) has a 1 at (f(j), (j, k)) exactly when f(j) = f(k).
+    f = np.asarray(hom.f_b, dtype=np.intp)
+    sb, db = src.b, dst.b
+    copied = np.zeros((db * db, sb), dtype=np.complex128)
+    copied[f * (db + 1), np.arange(sb)] = 1.0
+    emb_res = float(np.abs(copied - _diag_embedder(db) @ f_b).max())
+    j, k = np.nonzero(f[:, np.newaxis] == f[np.newaxis, :])
+    merged = np.zeros((db, sb * sb), dtype=np.complex128)
+    merged[f[j], j * sb + k] = 1.0
+    outer_res = float(np.abs(chi_d @ merged - f_v @ chi_s @ _diag_embedder(sb).T).max())
     slack = tol.abs_eps + tol.rel_eps
     ok = hom_res <= slack and emb_res <= slack and outer_res <= slack
     return HomLiftCheck(

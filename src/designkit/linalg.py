@@ -59,8 +59,10 @@ class Tolerance:
         b = np.asarray(b)
         if a.shape != b.shape:
             return False
-        slack = self.abs_eps + self.rel_eps * np.maximum(np.abs(a), np.abs(b))
-        d = np.abs(a - b)
+        # A gap between finite entries near 1e308 overflows to inf, which is not close.
+        with np.errstate(over="ignore", invalid="ignore"):
+            slack = self.abs_eps + self.rel_eps * np.maximum(np.abs(a), np.abs(b))
+            d = np.abs(a - b)
         return bool(((d <= slack) & (d < np.inf)).all())
 
     def near_int(self, x) -> int | None:

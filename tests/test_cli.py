@@ -165,6 +165,20 @@ def test_verify_cpmap_near_binary64_limit_gives_named_error_without_warnings(tmp
     assert err == "error: m m^dagger is not finite; the largest |entry| of the map is 1e+308\n"
 
 
+def test_verify_cpmap_names_largest_entry_when_choi_eigenvalues_overflow(tmp_path, capsys):
+    # The one Choi block [[a, a], [a, -a]] has eigenvalues +-sqrt(2) a, beyond binary64.
+    a = 1.7e308
+    f = CpMap(Algebra.commutative(1), Algebra.matrix(2), ComplexMatrix([[a], [a], [a], [-a]]))
+    path = write(tmp_path, "overflowing-choi.json", dumps(f))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "verify-cpmap", path, "--json")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: Choi eigenvalues are not finite; the largest |entry| of the map "
+                   "is 1.7e+308\n")
+
+
 @pytest.mark.parametrize("argv", [["verify-quantum", "--json"], ["convert", "q2c"]])
 def test_overflowing_projector_gives_named_error_without_warnings(tmp_path, capsys, argv):
     # p p overflows, so neither the projector check nor the joint eigenbasis

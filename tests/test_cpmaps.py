@@ -285,6 +285,63 @@ def test_functor_q_on_hom_flags_non_injective_block_map():
     assert not lift.ok
 
 
+def dense_functor_q_on_hom(src, dst, hom):
+    # The lifted residuals as first written, with the dense Kronecker product.
+    chi_s = src.chi.to_complex().a
+    chi_d = dst.chi.to_complex().a
+    f_v = cpmaps._subset_matrix(hom.f_v, dst.v)
+    f_b = cpmaps._subset_matrix(hom.f_b, dst.b)
+    hom_res = float(np.abs(f_v @ chi_s - chi_d @ f_b).max())
+    delta_s = cpmaps._diag_embedder(src.b)
+    delta_d = cpmaps._diag_embedder(dst.b)
+    emb_res = float(np.abs(np.kron(f_b, f_b) @ delta_s - delta_d @ f_b).max())
+    outer_res = float(
+        np.abs(chi_d @ delta_d.T @ np.kron(f_b, f_b) - f_v @ chi_s @ delta_s.T).max()
+    )
+    return hom_res, emb_res, outer_res
+
+
+def seeded_homs(rng):
+    for d in (2, 3, 5):
+        chi = np.array(gen_projective_plane(d).chi.tolist())
+        v, b = chi.shape
+        points, blocks = rng.permutation(v), rng.permutation(b)
+        src = ClassicalDesign.from_rows(chi[points][:, blocks].tolist())
+        # A relabelling, with the block map it induces.
+        perm = rng.permutation(v)
+        moved = np.zeros_like(chi)
+        moved[perm] = np.array(src.chi.tolist())
+        order = rng.permutation(b)
+        dst = ClassicalDesign.from_rows(moved[:, order].tolist())
+        f_b = [int(np.argsort(order)[j]) for j in range(b)]
+        yield src, dst, HomPair(f_v=perm.tolist(), f_b=f_b)
+        # Points merged into fewer classes: the pushed blocks, deduplicated and
+        # shuffled with one unused extra block, give a non-injective block map.
+        for classes in (1, 2, max(2, v // 3)):
+            f_v = rng.integers(0, classes, size=v)
+            f_v[:classes] = np.arange(classes)
+            pushed = np.zeros((classes, b), dtype=np.int64)
+            np.add.at(pushed, f_v, np.array(src.chi.tolist()))
+            cols, f_b = np.unique(pushed.T, axis=0, return_inverse=True)
+            cols = np.vstack([cols, np.full((1, classes), 3)])
+            shuffle = rng.permutation(len(cols))
+            dst = ClassicalDesign.from_rows(cols[shuffle].T.tolist())
+            f_b = np.argsort(shuffle)[f_b.reshape(-1)]
+            yield src, dst, HomPair(f_v=f_v.tolist(), f_b=f_b.tolist())
+
+
+def test_functor_q_on_hom_matches_dense_kronecker_reference_exactly():
+    rng = np.random.default_rng(7707)
+    injective = set()
+    for src, dst, hom in seeded_homs(rng):
+        lift = functor_q_on_hom(src, dst, hom)
+        want = dense_functor_q_on_hom(src, dst, hom)
+        assert (lift.hom_residual, lift.embedding_residual, lift.outer_residual) == want
+        injective.add(len(set(hom.f_b)) == len(hom.f_b))
+        assert lift.ok == (lift.outer_residual == 0.0)
+    assert injective == {True, False}
+
+
 def test_verify_cp_design_identity_channel():
     rep = verify_cp_design(identity_map(2))
     assert rep.k == pytest.approx(1.0, abs=1e-12)
@@ -480,10 +537,11 @@ def dense_is_cp(f, tol=DEFAULT_TOL):
     hermitian = tol.allclose(c, c.conj().T)
     herm_part = c.conj().T / 2.0
     herm_part += c / 2.0
-    low = float(np.linalg.eigvalsh(herm_part)[0])
+    eigenvalues = np.linalg.eigvalsh(herm_part)
+    low = float(eigenvalues[0])
     cmax = float(np.abs(c).max(initial=0.0))
     slack = tol.abs_eps + tol.rel_eps * cmax
-    return hermitian and low >= -slack, low, hermitian, cmax
+    return hermitian and low >= -slack, low, hermitian, cmax, bool(np.isfinite(eigenvalues).all())
 
 
 def seeded_maps(rng):
@@ -566,24 +624,32 @@ def test_embed_commutative_and_choi_match_dense_products_exactly():
 def test_is_cp_blocks_match_dense_choi_reference():
     rng = np.random.default_rng(4402)
     seen = set()
-    # The Hermiticity gap of a non-Hermitian map near 1e308 overflows to inf,
-    # which is not close.
-    with np.errstate(over="ignore"):
-        for f in seeded_maps(rng):
-            check = is_cp(f)
-            want_cp, want_low, want_hermitian, cmax = dense_is_cp(f)
-            pair = (f.in_alg.kind, f.out_alg.kind)
-            assert (check.is_cp, check.hermitian) == (want_cp, want_hermitian)
-            # LAPACK rescales a matrix whose norm is beyond about 1e146 but
-            # returns a 1 x 1 one as it is, so near 1e308 a Commutative ->
-            # Commutative map may differ from the dense reference in the last bit.
-            if pair == ("matrix", "matrix") or (pair[0] == pair[1] and cmax < 1e146):
-                assert check.min_eigenvalue == want_low
-            elif check.min_eigenvalue != want_low:  # both may be -inf near 1e308
-                assert abs(check.min_eigenvalue - want_low) <= 1e-12 * max(1.0, cmax)
-            seen.add((pair, check.is_cp, check.hermitian))
+    overflowed = 0
+    for f in seeded_maps(rng):
+        want_cp, want_low, want_hermitian, cmax, finite = dense_is_cp(f)
+        if not finite:
+            # Eigenvalues beyond binary64 are refused with the largest entry, not
+            # reported as -inf.
+            with pytest.raises(ValueError) as err:
+                is_cp(f)
+            assert str(err.value) == ("Choi eigenvalues are not finite; the largest |entry| "
+                                      f"of the map is {cmax!r}")
+            overflowed += 1
+            continue
+        check = is_cp(f)
+        pair = (f.in_alg.kind, f.out_alg.kind)
+        assert (check.is_cp, check.hermitian) == (want_cp, want_hermitian)
+        # LAPACK rescales a matrix whose norm is beyond about 1e146 but
+        # returns a 1 x 1 one as it is, so near 1e308 a Commutative ->
+        # Commutative map may differ from the dense reference in the last bit.
+        if pair == ("matrix", "matrix") or (pair[0] == pair[1] and cmax < 1e146):
+            assert check.min_eigenvalue == want_low
+        else:
+            assert abs(check.min_eigenvalue - want_low) <= 1e-12 * max(1.0, cmax)
+        seen.add((pair, check.is_cp, check.hermitian))
     # Every algebra pair shows CP, Hermitian but not CP, and non-Hermitian maps.
     assert len(seen) == 12
+    assert overflowed > 0
 
 
 def test_is_cp_never_builds_the_choi_matrix_for_a_commutative_leg(monkeypatch):
@@ -592,9 +658,15 @@ def test_is_cp_never_builds_the_choi_matrix_for_a_commutative_leg(monkeypatch):
 
     maps = [f for f in seeded_maps(np.random.default_rng(4403))
             if "commutative" in (f.in_alg.kind, f.out_alg.kind)]
-    with np.errstate(over="ignore"):
-        want = [is_cp(f) for f in maps]
-        monkeypatch.setattr(cpmaps, "choi", refuse)
-        assert [is_cp(f) for f in maps] == want
+
+    def outcome(f):
+        try:
+            return is_cp(f)
+        except ValueError as exc:  # eigenvalues beyond binary64
+            return str(exc)
+
+    want = [outcome(f) for f in maps]
+    monkeypatch.setattr(cpmaps, "choi", refuse)
+    assert [outcome(f) for f in maps] == want
     with pytest.raises(AssertionError):
         is_cp(identity_map(2))

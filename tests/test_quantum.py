@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from designkit.classical import gen_complete, gen_projective_plane
+from designkit import quantum
+from designkit.classical import ClassicalDesign, gen_complete, gen_projective_plane
 from designkit.cpmaps import functor_q
-from designkit.linalg import DEFAULT_TOL, ComplexMatrix, Tolerance
+from designkit.linalg import DEFAULT_TOL, ComplexMatrix, NatMatrix, Tolerance, split_by_projector
 from designkit.quantum import (
     MubFamily,
     QuantumDesign,
@@ -133,6 +134,24 @@ def test_classify_quantum_unclassifiable_parameters():
     assert params.r is None and params.k is None
 
 
+def test_classify_quantum_names_the_first_non_real_pairwise_trace():
+    # Under a loose tolerance [[I, X], [0, 0]] and [[0, 0], [Y, I]] pass as
+    # projectors, and Tr(p1 p2) = Tr(X Y) = 25 * 0.25 * 0.25i is far from real.
+    tol = Tolerance(abs_eps=0.3, rel_eps=0.0)
+    p1 = np.zeros((10, 10), dtype=np.complex128)
+    p1[:5, :5] = np.eye(5)
+    p1[:5, 5:] = 0.25
+    p2 = np.zeros((10, 10), dtype=np.complex128)
+    p2[5:, 5:] = np.eye(5)
+    p2[5:, :5] = 0.25j
+    zero = np.zeros((10, 10))
+    design = QuantumDesign(tuple(ComplexMatrix(p) for p in (zero, p1, p2, p2)))
+    assert validate(design, tol).ok
+    with pytest.raises(ValueError) as err:
+        classify_quantum(design, tol)
+    assert str(err.value) == "pairwise trace of projectors 1, 2 is not real: 1.5625j"
+
+
 def test_classify_quantum_rejects_invalid_family():
     with pytest.raises(ValueError):
         classify_quantum(QuantumDesign(projectors=(ComplexMatrix([[0.5, 0], [0, 0.5]]),)))
@@ -228,6 +247,174 @@ def test_to_classical_succeeds_exactly_when_classify_quantum_commutes():
             with pytest.raises(ValueError, match="do not pairwise commute"):
                 to_classical(design)
     assert verdicts == {True, False}
+
+
+def pairwise_commutative(design, tol=DEFAULT_TOL):
+    # classify_quantum's commutativity verdict before the joint eigenbasis:
+    # every pair of projectors compared with dense products.
+    stack = [p.a for p in design.projectors]
+    return all(
+        tol.allclose(stack[i] @ stack[j], stack[j] @ stack[i])
+        for i in range(len(stack))
+        for j in range(i + 1, len(stack))
+    )
+
+
+def refine_to_classical(design, tol=DEFAULT_TOL):
+    # to_classical before the joint eigenbasis: refine the standard basis by
+    # each projector in turn (image part first).
+    if not validate(design, tol).ok:
+        raise ValueError("not a projector family")
+    b = design.b
+    eye = np.eye(b, dtype=np.complex128)
+    groups = [([eye[:, i] for i in range(b)], ())]
+    for p in design.projectors:
+        refined = []
+        for vecs, pattern in groups:
+            try:
+                img, ker = split_by_projector(vecs, p, tol)
+            except ValueError as exc:
+                raise ValueError("projectors do not pairwise commute; no joint eigenbasis") from exc
+            if img:
+                refined.append((img, pattern + (1,)))
+            if ker:
+                refined.append((ker, pattern + (0,)))
+        groups = refined
+    patterns = [pattern for vecs, pattern in groups for _ in vecs]
+    return ClassicalDesign(NatMatrix([[patterns[j][i] for j in range(b)] for i in range(design.v)]))
+
+
+def rotated_family(rng, chi, eps):
+    # Conjugated 0/1 diagonals; one projector then rotated by exp(i eps h).
+    v, b = chi.shape
+    u = random_unitary(b, seed=int(rng.integers(2**31)))
+    stack = [u @ np.diag(row).astype(np.complex128) @ u.conj().T for row in chi]
+    h = rng.normal(size=(b, b)) + 1j * rng.normal(size=(b, b))
+    w, vecs = np.linalg.eigh(h + h.conj().T)
+    rot = vecs @ np.diag(np.exp(1j * eps * w)) @ vecs.conj().T
+    i = int(rng.integers(v))
+    stack[i] = rot @ stack[i] @ rot.conj().T
+    return QuantumDesign(projectors=tuple(ComplexMatrix(p) for p in stack))
+
+
+def seeded_patterns(rng):
+    v, b = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+    chi = rng.integers(0, 2, size=(v, b))
+    if b > 1 and rng.random() < 0.4:  # a repeated column
+        chi[:, 0] = chi[:, 1]
+    if rng.random() < 0.3:  # an all-zero column
+        chi[:, int(rng.integers(b))] = 0
+    return chi
+
+
+def assert_matches_oracles(design):
+    commutative = classify_quantum(design).commutative
+    assert commutative == pairwise_commutative(design)
+    if commutative:
+        assert to_classical(design) == refine_to_classical(design)
+    else:
+        with pytest.raises(ValueError, match="do not pairwise commute"):
+            to_classical(design)
+        with pytest.raises(ValueError, match="do not pairwise commute"):
+            refine_to_classical(design)
+    return commutative
+
+
+def test_joint_eigenbasis_matches_pairwise_and_refinement_oracles():
+    rng = np.random.default_rng(5150)
+    verdicts = {}
+    for _ in range(200):
+        eps = float(rng.choice([0.0, 1e-13, 1e-12, 1e-7, 1e-2]))
+        chi = seeded_patterns(rng)
+        commutative = assert_matches_oracles(rotated_family(rng, chi, eps))
+        verdicts.setdefault(eps, set()).add(commutative)
+    assert verdicts == {0.0: {True}, 1e-13: {True}, 1e-12: {True}, 1e-7: {True, False},
+                        1e-2: {True, False}}
+    for d, k in ((2, 2), (2, 3), (3, 1), (3, 4), (5, 3), (7, 8)):
+        assert assert_matches_oracles(mub_verify(mub_generate(d, k)).design) == (k == 1)
+
+
+def test_classify_quantum_commutes_exactly_when_to_classical_succeeds_near_the_boundary():
+    rng = np.random.default_rng(2718)
+    verdicts = set()
+    for _ in range(60):
+        chi = rng.integers(0, 2, size=(int(rng.integers(2, 7)), int(rng.integers(2, 7))))
+        for eps in (1e-10, 1e-9, 1e-8):
+            design = rotated_family(rng, chi, eps)
+            commutative = classify_quantum(design).commutative
+            verdicts.add(commutative)
+            try:
+                to_classical(design)
+                converted = True
+            except ValueError:
+                converted = False
+            assert converted == commutative
+    assert verdicts == {True, False}
+
+
+def test_joint_eigenbasis_needs_no_refinement_for_generic_families(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("refinement ran")
+
+    rng = np.random.default_rng(8086)
+    designs = [rotated_family(rng, seeded_patterns(rng), 0.0) for _ in range(40)]
+    designs += [functor_q(gen_projective_plane(d)) for d in (2, 3, 5)]
+    designs.append(conjugate(designs[-1], random_unitary(31, seed=31)))
+    want = [refine_to_classical(d) for d in designs]
+    monkeypatch.setattr(quantum, "split_by_projector", refuse)
+    for design, chi in zip(designs, want):
+        assert classify_quantum(design).commutative
+        assert to_classical(design) == chi
+    with pytest.raises(AssertionError, match="refinement ran"):
+        quantum._refine(designs[0], DEFAULT_TOL)
+
+
+def test_equal_weight_sums_fall_back_to_the_refinement(monkeypatch):
+    # With weights 1, 2, 3 the patterns (1, 1, 0) and (0, 0, 1) both weigh 3,
+    # so sum_i c_i p_i cannot separate their joint eigenspaces.
+    monkeypatch.setattr(quantum, "_weights", lambda v: np.arange(1.0, v + 1.0))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return split_by_projector(*args, **kwargs)
+
+    monkeypatch.setattr(quantum, "split_by_projector", counting)
+    chi = np.array([[1, 0, 1, 0], [1, 0, 0, 1], [0, 1, 0, 1]])
+    for seed in range(5):
+        design = conjugate(QuantumDesign(tuple(
+            ComplexMatrix(np.diag(row).astype(np.complex128)) for row in chi)),
+            random_unitary(4, seed=seed))
+        calls.clear()
+        assert classify_quantum(design).commutative
+        assert to_classical(design) == refine_to_classical(design)
+        assert to_classical(design).chi.tolist() == [[1, 1, 0, 0], [1, 0, 1, 0], [0, 0, 1, 1]]
+        assert calls  # the refinement ran
+    # A non-commuting family under the same weights is still refused.
+    mub = mub_verify(mub_generate(3, 2)).design
+    assert not classify_quantum(mub).commutative
+    with pytest.raises(ValueError, match="do not pairwise commute"):
+        to_classical(mub)
+
+
+def test_joint_eigenbasis_refuses_diagonals_off_zero_and_one():
+    # Validation keeps such families away from the joint eigenbasis; on its
+    # own, the check still must not round 0.5 to a pattern entry.
+    for diag in ([0.5, 1.0], [0.0, 0.4], [1.0, 1.0 - 1e-6]):
+        design = QuantumDesign((ComplexMatrix(np.diag(diag).astype(np.complex128)),))
+        with pytest.raises(ValueError, match="do not pairwise commute"):
+            quantum._joint_patterns(design, DEFAULT_TOL)
+
+
+def test_joint_eigenbasis_at_v_b_133():
+    plane = gen_projective_plane(11)
+    want = sorted(zip(*plane.chi.tolist()))
+    diagonal = functor_q(plane)
+    for design in (diagonal, conjugate(diagonal, random_unitary(133, seed=133))):
+        params = classify_quantum(design)
+        assert params.commutative and params.r == 12 and params.degree == 1
+        assert DEFAULT_TOL.close(params.lam_set[0], 1.0)
+        assert sorted(zip(*to_classical(design).chi.tolist())) == want
 
 
 def test_to_classical_rejects_invalid_family():
