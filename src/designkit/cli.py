@@ -51,9 +51,9 @@ from .cpmaps import (
 from .linalg import Tolerance
 from .quantum import (
     QuantumDesign,
+    _classify_projectors,
     _NotFinite,
     check_identities_q,
-    classify_quantum,
     mub_generate,
     mub_verify,
     tensor_q,
@@ -188,7 +188,7 @@ def cmd_verify_quantum(args) -> int:
     parameters: dict = {"v": design.v, "b": design.b}
     if rep.ok:
         try:
-            params = classify_quantum(design, tol)
+            params = _classify_projectors(design, tol)
         except ValueError as exc:
             checks.append(_check("pairwise traces are real", False, error=str(exc)))
             params = None

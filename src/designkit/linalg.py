@@ -29,9 +29,7 @@ __all__ = [
     "transpose",
     "adjoint",
     "trace",
-    "orthonormalize",
     "split_by_projector",
-    "min_eigenvalue_hermitian",
 ]
 
 
@@ -266,27 +264,6 @@ def _as_vectors(vectors, dim: int | None = None) -> list[np.ndarray]:
     return out
 
 
-def orthonormalize(
-    vectors: Sequence[np.ndarray], tol: Tolerance = DEFAULT_TOL
-) -> list[np.ndarray]:
-    """Modified Gram-Schmidt with a re-orthogonalization pass.
-
-    Returns an orthonormal list spanning the same space; vectors whose
-    residual after projection has norm <= tol.abs_eps are dropped.
-    """
-    vs = _as_vectors(vectors)
-    basis: list[np.ndarray] = []
-    for v in vs:
-        w = v.astype(np.complex128, copy=True)
-        for _ in range(2):
-            for u in basis:
-                w = w - (u.conj() @ w) * u
-        n = float(np.linalg.norm(w))
-        if n > tol.abs_eps:
-            basis.append(w / n)
-    return basis
-
-
 def split_by_projector(
     basis: Sequence[np.ndarray], p: ComplexMatrix, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -322,16 +299,3 @@ def split_by_projector(
     ):
         raise ValueError("kernel part is not annihilated within tolerance")
     return img, ker
-
-
-def min_eigenvalue_hermitian(m: ComplexMatrix, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Smallest eigenvalue of a Hermitian matrix.
-
-    Raises ValueError when the matrix is not square or not Hermitian within
-    ``tol`` at the scale of its largest entry.
-    """
-    if m.rows != m.cols:
-        raise ValueError(f"matrix is {m.rows}x{m.cols}, expected square")
-    if not tol.allclose(m.a, m.a.conj().T):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return float(np.linalg.eigvalsh((m.a + m.a.conj().T) / 2.0)[0])

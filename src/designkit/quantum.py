@@ -92,7 +92,8 @@ class QuantumParams:
     r: common trace when it is tol-equal to one natural number, else None.
     k: sum coefficient when the projectors sum to k * identity, else None.
     degree: number of pairwise-trace clusters; lam_set: their means, sorted.
-    commutative: all pairs of projectors commute within tolerance.
+    commutative: the family has a joint eigenbasis within the residual
+    threshold b * (abs_eps + rel_eps) (see to_classical).
     """
 
     r: int | None
@@ -164,6 +165,11 @@ def classify_quantum(design: QuantumDesign, tol: Tolerance = DEFAULT_TOL) -> Qua
     tolerance.
     """
     _require_projectors(design, tol)
+    return _classify_projectors(design, tol)
+
+
+def _classify_projectors(design: QuantumDesign, tol: Tolerance) -> QuantumParams:
+    """classify_quantum for a family that has already passed validate."""
     stack = np.stack([p.a for p in design.projectors])
     v, b = design.v, design.b
     traces = np.einsum("aii->a", stack)
@@ -265,12 +271,22 @@ def _batch_size(b: int) -> int:
 def _joint_patterns(design: QuantumDesign, tol: Tolerance) -> np.ndarray:
     """v x b 0/1 matrix: entry (i, j) says whether p_i fixes joint eigenvector j.
 
-    Diagonalises h = sum_i c_i p_i once; for a commuting family every
-    u^dagger p_i u is then diagonal with 0/1 entries (Horn & Johnson, Matrix
-    Analysis, 1.3).  Columns come image-first, projector 0 most significant,
-    the order of the refinement by one projector at a time.  That refinement
-    runs only when the check fails and the failure could come from mixed
-    eigenvectors of nearly equal eigenvalues of h.  Raises _NotCommuting.
+    Diagonalises h = sum_i c_i p_i once; for a commuting family its
+    eigenvectors u_j are joint eigenvectors (Horn & Johnson, Matrix Analysis,
+    1.3) and d_ij = rint(Re u_j^dagger p_i u_j) is the pattern.  One residual
+    decides: the family commutes when every column has
+
+        max_i ||p_i u_j - d_ij u_j||_max <= b * (abs_eps + rel_eps)
+
+    (the residual is infinite when some d_ij is not 0 or 1).  The threshold is
+    the spectral-norm bound on a b x b commutator whose entries are within
+    tolerance.  Columns above it are coupled to partners k with
+    |u_k^dagger p_i u_j| above it; a coupling times the gap |w_j - w_k|
+    larger than sum(c) * b * (abs_eps + rel_eps) proves non-commutation, and
+    otherwise each connected component of coupled columns is refined one
+    projector at a time on its own columns and its residuals recomputed.
+    Columns come image-first, projector 0 most significant.  Raises
+    _NotCommuting.
     """
     v, b = design.v, design.b
     arrays = [p.a for p in design.projectors]
@@ -279,62 +295,78 @@ def _joint_patterns(design: QuantumDesign, tol: Tolerance) -> np.ndarray:
     for weight, a in zip(c, arrays):
         h += weight * a
     w, u = np.linalg.eigh(h)
-    u_h = u.conj().T
-    gaps = np.abs(w[:, np.newaxis] - w[np.newaxis, :])
-    idx = np.arange(b)
+    threshold = b * (tol.abs_eps + tol.rel_eps)
+    pattern, residual = _patterns(arrays, u)
+    failing = np.flatnonzero(residual > threshold)
+    if failing.size:
+        components = _coupled_components(arrays, w, u, failing, float(c.sum()) * threshold,
+                                         threshold)
+        # Each split is held to the residual's own threshold.
+        split_tol = Tolerance(abs_eps=threshold, rel_eps=0.0)
+        refined = []
+        for cols in components:
+            # A group down to one vector leaves the refinement: its residual decides.
+            groups, done = [[u[:, k] for k in cols]], []
+            for p in design.projectors:
+                try:
+                    parts = [part for vecs in groups
+                             for part in split_by_projector(vecs, p, split_tol)]
+                except ValueError as exc:
+                    raise _NotCommuting() from exc
+                groups = [part for part in parts if len(part) > 1]
+                done += [part[0] for part in parts if len(part) == 1]
+            u[:, cols] = np.column_stack(done + [x for vecs in groups for x in vecs])
+            refined += cols
+        pattern[:, refined], residual = _patterns(arrays, u[:, refined])
+        if not (residual <= threshold).all():
+            raise _NotCommuting()
+    order = np.lexsort(-pattern[::-1])
+    return pattern[:, order].astype(np.int64)
+
+
+def _patterns(arrays: list[np.ndarray], u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # d_ij = rint(Re u_j^dagger p_i u_j) and the column residuals
+    # max_i ||p_i u_j - d_ij u_j||_max, infinite where some d_ij is not 0 or 1.
+    # One product p_i u per projector, in batches.
+    step = _batch_size(u.shape[0])
     rows = []
-    diagonal_ok = True
-    off_max = witness = 0.0
-    step = _batch_size(b)
-    for lo in range(0, v, step):
-        m = u_h @ np.stack(arrays[lo : lo + step]) @ u
-        diag = m[:, idx, idx]
-        rows.append(np.rint(diag.real))
-        diagonal_ok = diagonal_ok and tol.allclose(diag, rows[-1])
-        m[:, idx, idx] = 0.0
-        off = np.abs(m)
-        off_max = max(off_max, float(off.max()))
-        # u_j^dagger [p_i, h] u_k = (w_k - w_j) m[i, j, k]
-        off *= gaps
-        witness = max(witness, float(off.max()))
+    residual = np.zeros(u.shape[1])
+    for lo in range(0, len(arrays), step):
+        r = np.stack(arrays[lo : lo + step]) @ u
+        d = np.rint(np.einsum("aj,saj->sj", u.conj(), r).real)
+        r -= d[:, np.newaxis, :] * u
+        np.maximum(residual, np.abs(r).max(axis=(0, 1)), out=residual)
+        rows.append(d)
     pattern = np.concatenate(rows)
-    if (
-        diagonal_ok
-        and bool(((pattern == 0.0) | (pattern == 1.0)).all())
-        and tol.close(off_max, 0.0)
-    ):
-        order = np.lexsort(-pattern[::-1])
-        return pattern[:, order].astype(np.int64)
-    # Pairwise commutators within tolerance keep [p_i, h] below
-    # sum_l c_l * b * (abs_eps + rel_eps) in spectral norm, so a larger witness
-    # proves the family does not commute; a smaller one may be eigenvectors
-    # mixed across a gap too small to separate them, so refine.
-    if not witness <= float(c.sum()) * b * (tol.abs_eps + tol.rel_eps):
+    residual[~((pattern == 0.0) | (pattern == 1.0)).all(axis=0)] = np.inf
+    return pattern, residual
+
+
+def _coupled_components(
+    arrays: list[np.ndarray], w: np.ndarray, u: np.ndarray, failing: np.ndarray,
+    witness_bound: float, threshold: float,
+) -> list[list[int]]:
+    # Connected components of the graph joining each failing column j to its
+    # partners k, those with max_i |u_k^dagger p_i u_j| above threshold.
+    # Pairwise commutators within tolerance keep |w_j - w_k| |u_k^dagger p_i u_j|
+    # = |u_k^dagger [h, p_i] u_j| below witness_bound, so a larger value proves
+    # the family does not commute.
+    coupling = np.zeros((u.shape[0], failing.size))
+    u_h, u_f = u.conj().T, u[:, failing]
+    step = _batch_size(u.shape[0])
+    for lo in range(0, len(arrays), step):
+        m = np.abs(u_h @ np.stack(arrays[lo : lo + step]) @ u_f)
+        np.maximum(coupling, m.max(axis=0), out=coupling)
+    coupling[failing, np.arange(failing.size)] = 0.0
+    if not (np.abs(w[:, np.newaxis] - w[failing]) * coupling).max() <= witness_bound:
         raise _NotCommuting()
-    return _refine(design, tol)
-
-
-def _refine(design: QuantumDesign, tol: Tolerance) -> np.ndarray:
-    """Joint patterns by refining the standard basis by each projector in turn."""
-    b = design.b
-    eye = np.eye(b, dtype=np.complex128)
-    groups: list[tuple[list[np.ndarray], tuple[int, ...]]] = [
-        ([eye[:, i] for i in range(b)], ())
-    ]
-    for p in design.projectors:
-        refined: list[tuple[list[np.ndarray], tuple[int, ...]]] = []
-        for vecs, pattern in groups:
-            try:
-                img, ker = split_by_projector(vecs, p, tol)
-            except ValueError as exc:
-                raise _NotCommuting() from exc
-            if img:
-                refined.append((img, pattern + (1,)))
-            if ker:
-                refined.append((ker, pattern + (0,)))
-        groups = refined
-    columns = [pattern for vecs, pattern in groups for _ in vecs]
-    return np.array(columns, dtype=np.int64).T
+    components: list[set[int]] = []
+    for col, j in enumerate(failing.tolist()):
+        merged = {j, *np.flatnonzero(coupling[:, col] > threshold).tolist()}
+        joined = [comp for comp in components if comp & merged]
+        components = [comp for comp in components if not comp & merged]
+        components.append(merged.union(*joined))
+    return [sorted(comp) for comp in components]
 
 
 def to_classical(design: QuantumDesign, tol: Tolerance = DEFAULT_TOL) -> ClassicalDesign:
@@ -342,9 +374,11 @@ def to_classical(design: QuantumDesign, tol: Tolerance = DEFAULT_TOL) -> Classic
 
     Entry (i, j) records whether projector i fixes joint eigenvector j.  The
     result is a v x b 0/1 matrix, unique up to column (block) ordering;
-    columns come image-first, projector 0 most significant.  Raises
-    ValueError for an invalid projector family, and when the family has no
-    joint eigenbasis, i.e. does not commute.
+    columns come image-first, projector 0 most significant.  A basis counts
+    as joint when max_i ||p_i u_j - d_ij u_j||_max <= b * (abs_eps + rel_eps)
+    for every column u_j with pattern d_.j.  Raises ValueError for an invalid
+    projector family, and when the family has no joint eigenbasis, i.e. does
+    not commute.
     """
     _require_projectors(design, tol)
     return ClassicalDesign(NatMatrix(_joint_patterns(design, tol).tolist()))

@@ -5,12 +5,13 @@ import warnings
 
 import pytest
 
+from designkit import cli, quantum
 from designkit.catalog import canonical_json, catalog_text, dumps, loads
 from designkit.classical import ClassicalDesign
 from designkit.cli import main
 from designkit.cpmaps import Algebra, CpMap
 from designkit.linalg import ComplexMatrix, NatMatrix
-from designkit.quantum import QuantumDesign
+from designkit.quantum import QuantumDesign, validate
 
 
 def run(capsys, *argv):
@@ -108,6 +109,21 @@ def test_verify_quantum_rejects_corrupted_projector(tmp_path, capsys):
     assert rep["passed"] is False
     failing = [c for c in rep["checks"] if not c["passed"]]
     assert failing and failing[0]["index"] == 0
+
+
+def test_verify_quantum_validates_each_family_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(design, tol):
+        calls.append(design.v)
+        return validate(design, tol)
+
+    monkeypatch.setattr(cli, "validate", counting)
+    monkeypatch.setattr(quantum, "validate", counting)
+    path = write(tmp_path, "mub.json", catalog_text("mub-2-2"))
+    code, _, _ = run(capsys, "verify-quantum", path, "--json")
+    assert code == 0
+    assert calls == [4]
 
 
 def test_verify_cpmap_example_reports_both_readings(tmp_path, capsys):

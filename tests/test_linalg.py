@@ -9,8 +9,6 @@ from designkit.linalg import (
     adjoint,
     kron,
     mat_mul,
-    min_eigenvalue_hermitian,
-    orthonormalize,
     split_by_projector,
     trace,
     transpose,
@@ -168,26 +166,6 @@ def test_complex_matrix_rejects_non_finite():
         ComplexMatrix([[np.nan * 1j, 0], [0, 1]])
 
 
-def test_orthonormalize_produces_orthonormal_basis():
-    rng = np.random.default_rng(3)
-    vecs = [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(3)]
-    basis = orthonormalize(vecs)
-    assert len(basis) == 3
-    g = np.array([[u.conj() @ v for v in basis] for u in basis])
-    assert DEFAULT_TOL.allclose(g, np.eye(3))
-
-
-def test_orthonormalize_drops_dependent_vectors():
-    v = np.array([1.0, 2.0, 0.0])
-    basis = orthonormalize([v, 2 * v, np.array([0.0, 0.0, 1.0])])
-    assert len(basis) == 2
-
-
-def test_orthonormalize_drops_tiny_vectors():
-    basis = orthonormalize([np.array([1e-12, 0.0]), np.array([0.0, 1.0])])
-    assert len(basis) == 1
-
-
 def test_split_by_projector_diagonal():
     p = ComplexMatrix(np.diag([1.0, 1.0, 0.0]))
     basis = [np.eye(3)[:, i] for i in range(3)]
@@ -220,24 +198,6 @@ def test_split_by_projector_rejects_non_binary_spectrum():
 
 def test_split_by_projector_empty_basis():
     assert split_by_projector([], ComplexMatrix.identity(2)) == ([], [])
-
-
-def test_min_eigenvalue_hermitian_known_values():
-    assert min_eigenvalue_hermitian(ComplexMatrix(np.diag([-1.0, 1.0]))) == -1.0
-    pauli_x = ComplexMatrix([[0.0, 1.0], [1.0, 0.0]])
-    assert abs(min_eigenvalue_hermitian(pauli_x) + 1.0) < 1e-12
-    swap = np.zeros((4, 4))
-    for i in range(2):
-        for j in range(2):
-            swap[2 * i + j, 2 * j + i] = 1.0
-    assert abs(min_eigenvalue_hermitian(ComplexMatrix(swap)) + 1.0) < 1e-12
-
-
-def test_min_eigenvalue_hermitian_guards():
-    with pytest.raises(ValueError):
-        min_eigenvalue_hermitian(ComplexMatrix([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        min_eigenvalue_hermitian(ComplexMatrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
 
 
 def test_trace_multiplicative_under_kron():

@@ -1,8 +1,13 @@
+import json
+import time
+
 import numpy as np
 import pytest
 
 from designkit import quantum
+from designkit.catalog import dumps
 from designkit.classical import ClassicalDesign, gen_complete, gen_projective_plane
+from designkit.cli import main
 from designkit.cpmaps import functor_q
 from designkit.linalg import DEFAULT_TOL, ComplexMatrix, NatMatrix, Tolerance, split_by_projector
 from designkit.quantum import (
@@ -365,8 +370,16 @@ def test_joint_eigenbasis_needs_no_refinement_for_generic_families(monkeypatch):
     for design, chi in zip(designs, want):
         assert classify_quantum(design).commutative
         assert to_classical(design) == chi
+    # The commutator witness refuses mutually unbiased bases before any split.
+    assert not classify_quantum(mub_verify(mub_generate(5, 3)).design).commutative
+    # The patch is live: a family whose weight sums tie must refine.
+    monkeypatch.setattr(quantum, "_weights", lambda v: np.arange(1.0, v + 1.0))
+    chi = np.array([[1, 0, 1, 0], [1, 0, 0, 1], [0, 1, 0, 1]])
+    tied = conjugate(QuantumDesign(tuple(
+        ComplexMatrix(np.diag(row).astype(np.complex128)) for row in chi)),
+        random_unitary(4, seed=0))
     with pytest.raises(AssertionError, match="refinement ran"):
-        quantum._refine(designs[0], DEFAULT_TOL)
+        to_classical(tied)
 
 
 def test_equal_weight_sums_fall_back_to_the_refinement(monkeypatch):
@@ -400,10 +413,36 @@ def test_equal_weight_sums_fall_back_to_the_refinement(monkeypatch):
 def test_joint_eigenbasis_refuses_diagonals_off_zero_and_one():
     # Validation keeps such families away from the joint eigenbasis; on its
     # own, the check still must not round 0.5 to a pattern entry.
-    for diag in ([0.5, 1.0], [0.0, 0.4], [1.0, 1.0 - 1e-6]):
+    for diag in ([0.5, 1.0], [0.0, 0.4], [1.0, 1.0 - 1e-6], [2.0, 1.0], [-1.0, 0.0]):
         design = QuantumDesign((ComplexMatrix(np.diag(diag).astype(np.complex128)),))
         with pytest.raises(ValueError, match="do not pairwise commute"):
             quantum._joint_patterns(design, DEFAULT_TOL)
+
+
+def test_joint_eigenbasis_threshold_is_b_times_tolerance():
+    # The last column's residual is its diagonal's distance from 1.
+    for b in (2, 5):
+        threshold = b * (DEFAULT_TOL.abs_eps + DEFAULT_TOL.rel_eps)
+        for gap, commutes in ((0.9 * threshold, True), (1.1 * threshold, False)):
+            diag = np.ones(b)
+            diag[-1] -= gap
+            design = QuantumDesign((ComplexMatrix(np.diag(diag).astype(np.complex128)),))
+            if commutes:
+                assert quantum._joint_patterns(design, DEFAULT_TOL).tolist() == [[1] * b]
+            else:
+                with pytest.raises(ValueError, match="do not pairwise commute"):
+                    quantum._joint_patterns(design, DEFAULT_TOL)
+
+
+def test_refined_columns_are_rechecked_against_every_projector(monkeypatch):
+    # Under equal weights the two qubit bases sum to h = 2 I, so no gap
+    # witnesses the failure; the first projector splits the plane into single
+    # vectors, and only the residual of the later projectors refuses them.
+    monkeypatch.setattr(quantum, "_weights", lambda v: np.ones(v))
+    design = mub_verify(mub_generate(2, 2)).design
+    assert not classify_quantum(design).commutative
+    with pytest.raises(ValueError, match="do not pairwise commute"):
+        to_classical(design)
 
 
 def test_joint_eigenbasis_at_v_b_133():
@@ -415,6 +454,58 @@ def test_joint_eigenbasis_at_v_b_133():
         assert params.commutative and params.r == 12 and params.degree == 1
         assert DEFAULT_TOL.close(params.lam_set[0], 1.0)
         assert sorted(zip(*to_classical(design).chi.tolist())) == want
+
+
+def count_splits(monkeypatch):
+    # The number of vectors handed to each split_by_projector call.
+    calls = []
+
+    def counting(vecs, p, tol):
+        calls.append(len(vecs))
+        return split_by_projector(vecs, p, tol)
+
+    monkeypatch.setattr(quantum, "split_by_projector", counting)
+    return calls
+
+
+def test_rotated_plane_at_v_b_133_refines_only_coupled_columns(monkeypatch):
+    # One projector of a conjugated pg2-11 image rotated by exp(i eps h).  The
+    # fallback splits only columns coupled to a failing one, never the whole
+    # space, so the eps = 1e-10 decision stays well under 0.5 s.
+    calls = count_splits(monkeypatch)
+    chi = np.array(gen_projective_plane(11).chi.tolist())
+    rng = np.random.default_rng(133)
+    for eps in (1e-10, 1e-9, 1e-8):
+        design = rotated_family(rng, chi, eps)
+        start = time.perf_counter()
+        patterns = quantum._joint_patterns(design, DEFAULT_TOL)
+        if eps == 1e-10:
+            assert time.perf_counter() - start < 0.5
+        # Pairwise commutator entries reach about 1.5e-8 at eps = 1e-8, inside
+        # the residual threshold 133 * 2e-9.
+        assert sorted(zip(*patterns.tolist())) == sorted(zip(*chi.tolist()))
+        assert classify_quantum(design).commutative
+        assert to_classical(design).chi.tolist() == patterns.tolist()
+    assert calls and max(calls) < 133
+
+
+def test_verify_quantum_and_convert_q2c_agree_on_rotated_planes(tmp_path, capsys, monkeypatch):
+    calls = count_splits(monkeypatch)
+    chi = np.array(gen_projective_plane(5).chi.tolist())
+    rng = np.random.default_rng(31)
+    verdicts = set()
+    for eps in (1e-10, 1e-9, 1e-8, 1e-7):
+        for _ in range(2):
+            path = tmp_path / "rotated.json"
+            path.write_text(dumps(rotated_family(rng, chi, eps)), encoding="utf-8")
+            main(["verify-quantum", str(path), "--json"])
+            commutative = json.loads(capsys.readouterr().out)["parameters"]["commutative"]
+            code = main(["convert", "q2c", str(path)])
+            capsys.readouterr()
+            assert code == (0 if commutative else 1)
+            verdicts.add(commutative)
+    assert verdicts == {True, False}
+    assert calls  # the fallback ran on some of them
 
 
 def test_to_classical_rejects_invalid_family():
