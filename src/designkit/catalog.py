@@ -166,7 +166,7 @@ def classical_from_doc(doc: dict) -> ClassicalDesign:
     rows = _get(doc, "incidence", "document")
     entries = _entries(rows, v, b)
     if entries is not None and _only(entries, int) and min(entries) >= 0:
-        return ClassicalDesign(NatMatrix._raw(np.array(entries, dtype=object).reshape(v, b)))
+        return ClassicalDesign(NatMatrix._from_ints(entries, (v, b)))
     _rows_error(rows, v, b, "incidence", _nat)
 
 

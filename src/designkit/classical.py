@@ -15,7 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .linalg import NatMatrix, kron as _kron, transpose as _transpose
+import numpy as np
+
+from .linalg import NatMatrix, _integral, kron as _kron, mat_mul as _mat_mul, transpose as _transpose
 
 __all__ = [
     "ClassicalDesign",
@@ -54,7 +56,7 @@ class ClassicalDesign:
 
     @property
     def is_zero_one(self) -> bool:
-        return all(x in (0, 1) for row in self.chi.tolist() for x in row)
+        return bool(self.chi.a.max() <= 1)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "ClassicalDesign":
@@ -87,8 +89,9 @@ class HomPair:
     f_b: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "f_v", tuple(int(x) for x in self.f_v))
-        object.__setattr__(self, "f_b", tuple(int(x) for x in self.f_b))
+        for name in ("f_v", "f_b"):
+            images = tuple(_as_int(x, f"{name} image") for x in getattr(self, name))
+            object.__setattr__(self, name, images)
 
 
 @dataclass(frozen=True)
@@ -115,24 +118,31 @@ class InfeasibleParametersError(ValueError):
     """Requested design parameters violate a counting identity."""
 
 
+def _as_int(x, what: str) -> int:
+    # Integral values only: 2.7 is refused, not truncated to 2.
+    n = _integral(x)
+    if n is None:
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return n
+
+
 def classify(design: ClassicalDesign) -> DesignParams:
     """Read off (k, r, lambda, symmetric) from the incidence matrix.
 
     Exact integer arithmetic throughout; any property that does not hold
     exactly yields None for its parameter.
     """
-    chi = design.chi.a
     col = design.chi.col_sums()
     k = col[0] if all(s == col[0] for s in col) else None
     row = design.chi.row_sums()
     r = row[0] if all(s == row[0] for s in row) else None
     lam = None
     if k is not None and r is not None and design.v >= 2:
-        g = chi @ chi.T
-        if all(int(g[i, i]) == r for i in range(design.v)):
-            off = [int(g[i, j]) for i in range(design.v) for j in range(design.v) if i != j]
-            if all(x == off[0] for x in off):
-                lam = off[0]
+        g = _mat_mul(design.chi, _transpose(design.chi)).a
+        if (np.diagonal(g) == r).all():
+            off = g[~np.eye(design.v, dtype=bool)]
+            if (off == off[0]).all():
+                lam = int(off[0])
     return DesignParams(k=k, r=r, lam=lam, symmetric=design.v == design.b)
 
 
@@ -163,9 +173,7 @@ def check_identities(v: int, b: int, params: DesignParams) -> list[IdentityCheck
 
 def to_block(design: ClassicalDesign) -> ClassicalDesign:
     """Threshold multiplicities: entries > 0 become 1."""
-    return ClassicalDesign(
-        NatMatrix([[1 if x > 0 else 0 for x in row] for row in design.chi.tolist()])
-    )
+    return ClassicalDesign(NatMatrix._raw((design.chi.a > 0).astype(np.int64)))
 
 
 def verify_hom(src: ClassicalDesign, dst: ClassicalDesign, hom: HomPair) -> HomCheck:
@@ -185,15 +193,15 @@ def verify_hom(src: ClassicalDesign, dst: ClassicalDesign, hom: HomPair) -> HomC
         raise ValueError(f"point image out of range 0..{dst.v - 1}")
     if any(not 0 <= x < dst.b for x in hom.f_b):
         raise ValueError(f"block image out of range 0..{dst.b - 1}")
-    chi_s = src.chi.tolist()
-    chi_d = dst.chi.tolist()
-    for i in range(dst.v):
-        for j in range(src.b):
-            lhs = sum(chi_s[a][j] for a in range(src.v) if hom.f_v[a] == i)
-            rhs = chi_d[i][hom.f_b[j]]
-            if lhs != rhs:
-                return HomCheck(ok=False, cell=(i, j), lhs=lhs, rhs=rhs)
-    return HomCheck(ok=True)
+    moved = np.zeros((dst.v, src.v), dtype=np.int64)
+    moved[hom.f_v, np.arange(src.v)] = 1
+    lhs = _mat_mul(NatMatrix._raw(moved), src.chi).a
+    rhs = dst.chi.a[:, hom.f_b]
+    bad = lhs != rhs
+    if not bad.any():
+        return HomCheck(ok=True)
+    i, j = divmod(int(bad.argmax()), src.b)  # the first failing cell in row-major order
+    return HomCheck(ok=False, cell=(i, j), lhs=int(lhs[i, j]), rhs=int(rhs[i, j]))
 
 
 def compose_hom(first: HomPair, second: HomPair) -> HomPair:
@@ -232,21 +240,14 @@ def gen_projective_plane(order: int) -> ClassicalDesign:
     on line L iff P . L = 0 mod d.  Yields v = b = d^2 + d + 1, k = r = d + 1,
     lambda = 1.
     """
-    d = int(order)
+    d = _as_int(order, "order")
     if not _is_prime(d):
         raise ValueError(f"order {d} is not prime")
-    reps = [
-        t
-        for t in itertools.product(range(d), repeat=3)
-        if any(t) and next(x for x in t if x) == 1
-    ]
-    n = d * d + d + 1
-    assert len(reps) == n
-    chi = [
-        [1 if sum(p * l for p, l in zip(pt, ln)) % d == 0 else 0 for ln in reps]
-        for pt in reps
-    ]
-    return ClassicalDesign(NatMatrix(chi))
+    triples = np.indices((d, d, d)).reshape(3, -1).T  # lexicographic order
+    first_nonzero = triples[np.arange(len(triples)), (triples != 0).argmax(axis=1)]
+    reps = triples[first_nonzero == 1]  # the zero triple's first entry is 0
+    chi = (reps @ reps.T) % d == 0
+    return ClassicalDesign(NatMatrix._raw(chi.astype(np.int64)))
 
 
 # Largest incidence matrix, in cells, that gen_complete enumerates.
@@ -269,9 +270,10 @@ def gen_complete(v: int, k: int) -> ClassicalDesign:
     if cells > _COMPLETE_MAX_CELLS:
         raise ValueError(f"v*C(v,k) exceeds the limit of {_COMPLETE_MAX_CELLS} "
                          f"incidence cells for v={v}, k={k}")
-    blocks = list(itertools.combinations(range(v), k))
-    chi = [[1 if i in blk else 0 for blk in blocks] for i in range(v)]
-    return ClassicalDesign(NatMatrix(chi))
+    blocks = np.array(list(itertools.combinations(range(v), k)), dtype=np.intp)
+    chi = np.zeros((v, len(blocks)), dtype=np.int64)
+    chi[blocks, np.arange(len(blocks))[:, np.newaxis]] = 1
+    return ClassicalDesign(NatMatrix._raw(chi))
 
 
 def _search_feasible(v: int, b: int, k: int, r: int, lam: int) -> None:

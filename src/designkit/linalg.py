@@ -2,8 +2,11 @@
 
 Two matrix flavours back everything in this package:
 
-* :class:`NatMatrix` holds nonnegative integers as Python ints inside an
-  object-dtype array, so counting arguments stay exact at any magnitude.
+* :class:`NatMatrix` holds nonnegative integers, as an int64 array when every
+  entry is below 2**63 and as an object array of Python ints otherwise.
+  Arithmetic is exact either way: each operation takes the machine path only
+  when a bound on its inputs proves that nothing overflows or rounds, and
+  :meth:`NatMatrix.tolist` returns Python ints.
 * :class:`ComplexMatrix` holds finite binary64 complex entries and carries
   projectors, bases and superoperator matrices.
 
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -73,31 +77,47 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def _as_nat(x) -> int:
-    if isinstance(x, (bool, np.bool_)):
+# int64 holds every nonnegative integer below this; NatMatrix stores larger
+# entries as Python ints.
+_INT64_BOUND = 2**63
+# binary64 holds every integer up to this, so a float64 product whose partial
+# sums stay below it is exact.
+_FLOAT64_BOUND = 2**53
+
+
+def _integral(x) -> int | None:
+    """``x`` as a Python int if it is a bool, an integer or an integral float, else None."""
+    if isinstance(x, (int, np.integer, np.bool_)) or (isinstance(x, float) and x.is_integer()):
         return int(x)
-    if isinstance(x, (int, np.integer)):
-        n = int(x)
-    elif isinstance(x, float) and x.is_integer():
-        n = int(x)
-    else:
-        raise ValueError(f"entry {x!r} is not a nonnegative integer")
-    if n < 0:
+    return None
+
+
+def _as_nat(x) -> int:
+    n = _integral(x)
+    if n is None or n < 0:
         raise ValueError(f"entry {x!r} is not a nonnegative integer")
     return n
+
+
+def _peak(a: np.ndarray) -> int:
+    return int(a.max())
 
 
 class NatMatrix:
     """Dense matrix of nonnegative integers with exact arithmetic.
 
-    Entries are Python ints held in an object-dtype array; products, sums and
-    Kronecker powers therefore never overflow or round.  Instances are treated
-    as immutable and no operation in this module mutates its inputs.
+    Entries are stored as an int64 array when every entry is below 2**63, and
+    as an object array of Python ints otherwise.  Products, sums and Kronecker
+    powers use machine arithmetic only under a bound that rules out overflow
+    and rounding, so they never overflow or round.  Instances are treated as
+    immutable and no operation in this module mutates its inputs.
     """
 
     __slots__ = ("a",)
 
     def __init__(self, entries) -> None:
+        if isinstance(entries, np.ndarray) and entries.dtype.kind in "biu":
+            entries = entries.tolist()  # Python ints (bools), converted in one call
         rows = [list(r) for r in entries]
         if not rows or not rows[0]:
             raise ValueError("matrix must have at least one row and one column")
@@ -105,15 +125,26 @@ class NatMatrix:
         for i, r in enumerate(rows):
             if len(r) != ncols:
                 raise ValueError(f"row {i} has {len(r)} entries, expected {ncols}")
-        a = np.empty((len(rows), ncols), dtype=object)
-        for i, r in enumerate(rows):
-            for j, x in enumerate(r):
-                a[i, j] = _as_nat(x)
-        self.a = a
+        flat = list(chain.from_iterable(rows))
+        if set(map(type, flat)) != {int} or min(flat) < 0:
+            flat = list(map(_as_nat, flat))  # refuses the first bad entry by name
+        self.a = self._from_ints(flat, (len(rows), ncols)).a
+
+    @classmethod
+    def _from_ints(cls, ints: list[int], shape: tuple[int, int]) -> "NatMatrix":
+        # Internal: nonnegative Python ints in row-major order.
+        try:
+            a = np.array(ints, dtype=np.int64)
+        except OverflowError:  # some entry is 2**63 or more
+            a = np.array(ints, dtype=object)
+        return cls._raw(a.reshape(shape))
 
     @classmethod
     def _raw(cls, a: np.ndarray) -> "NatMatrix":
-        # Internal: wrap an object array already known to hold nonneg ints.
+        # Internal: wrap an int64 array, or an object array of nonnegative
+        # Python ints, which is stored as int64 when every entry fits.
+        if a.dtype == object and _peak(a) < _INT64_BOUND:
+            a = a.astype(np.int64)
         m = object.__new__(cls)
         m.a = a
         return m
@@ -122,11 +153,7 @@ class NatMatrix:
     def identity(cls, n: int) -> "NatMatrix":
         if n < 1:
             raise ValueError("identity needs n >= 1")
-        a = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                a[i, j] = 1 if i == j else 0
-        return cls._raw(a)
+        return cls._raw(np.eye(n, dtype=np.int64))
 
     @property
     def rows(self) -> int:
@@ -136,17 +163,23 @@ class NatMatrix:
     def cols(self) -> int:
         return self.a.shape[1]
 
+    def _sums(self, axis: int) -> list[int]:
+        a = self.a
+        if _peak(a) * a.shape[axis] >= _INT64_BOUND:
+            a = a.astype(object)
+        return a.sum(axis=axis).tolist()
+
     def row_sums(self) -> list[int]:
-        return [int(s) for s in self.a.sum(axis=1)]
+        return self._sums(1)
 
     def col_sums(self) -> list[int]:
-        return [int(s) for s in self.a.sum(axis=0)]
+        return self._sums(0)
 
     def tolist(self) -> list[list[int]]:
-        return [[int(x) for x in row] for row in self.a]
+        return self.a.tolist()
 
     def to_complex(self) -> "ComplexMatrix":
-        return ComplexMatrix(np.array(self.tolist(), dtype=np.complex128))
+        return ComplexMatrix(self.a.astype(np.complex128))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NatMatrix):
@@ -215,15 +248,31 @@ def mat_mul(a, b):
             f"dimension mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}"
         )
     if kind == "nat":
-        return NatMatrix._raw(a.a @ b.a)
+        x, y = a.a, b.a
+        if x.dtype == y.dtype == np.int64 and _peak(x) * _peak(y) * a.cols < _FLOAT64_BOUND:
+            return NatMatrix._raw(_float64_matmul(x, y))
+        return NatMatrix._raw(x.astype(object) @ y.astype(object))
     return ComplexMatrix(a.a @ b.a)
+
+
+def _float64_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Exact product of int64 arrays with max|x| * max|y| * inner < 2**53.
+
+    Every product and partial sum is then an integer below 2**53, which
+    binary64 holds exactly, so the BLAS product in float64 is the integer
+    product (numpy's int64 matmul does not call BLAS).
+    """
+    return (x.astype(np.float64) @ y.astype(np.float64)).astype(np.int64)
 
 
 def kron(a, b):
     """Kronecker product, same flavour rules as :func:`mat_mul`."""
     kind = _pairwise(a, b, "kron")
     if kind == "nat":
-        return NatMatrix._raw(np.kron(a.a, b.a))
+        x, y = a.a, b.a
+        if x.dtype == y.dtype == np.int64 and _peak(x) * _peak(y) < _INT64_BOUND:
+            return NatMatrix._raw(np.kron(x, y))
+        return NatMatrix._raw(np.kron(x.astype(object), y.astype(object)))
     return ComplexMatrix(np.kron(a.a, b.a))
 
 

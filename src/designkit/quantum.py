@@ -381,7 +381,7 @@ def to_classical(design: QuantumDesign, tol: Tolerance = DEFAULT_TOL) -> Classic
     not commute.
     """
     _require_projectors(design, tol)
-    return ClassicalDesign(NatMatrix(_joint_patterns(design, tol).tolist()))
+    return ClassicalDesign(NatMatrix._raw(_joint_patterns(design, tol)))
 
 
 def tensor_q(q1: QuantumDesign, q2: QuantumDesign, tol: Tolerance = DEFAULT_TOL) -> QuantumDesign:

@@ -1,6 +1,6 @@
 """End-to-end acceptance gate.
 
-Eight criteria, each printed as one pass/fail line (run with ``pytest -s``
+Nine criteria, each printed as one pass/fail line (run with ``pytest -s``
 to see them live).  Stated tolerances are asserted directly; stated time
 limits are measured with ``time.perf_counter``.
 """
@@ -261,3 +261,11 @@ def test_criterion_8_property_suites_and_identity_orientation():
         assert lam * (v - 1) == r * (k - 1) == 3
         assert k * v != r * b  # 8 != 18: rejected orientation
         assert lam * (v - 1) != k * (r - 1)  # 3 != 4: rejected orientation
+
+
+def test_criterion_9_plane_of_order_23_is_generated_and_classified_quickly():
+    with criterion(9, "gen_projective_plane(23) runs in under 0.1 s", limit_s=0.1):
+        plane = gen_projective_plane(23)
+    with criterion(9, "classify(pg2-23) gives (553,553,24,24,1) in under 0.3 s", limit_s=0.3):
+        params = classify(plane)
+    assert (plane.v, plane.b, params.k, params.r, params.lam) == (553, 553, 24, 24, 1)

@@ -158,6 +158,16 @@ def test_verify_hom_failure_reports_first_cell():
     assert (result.lhs, result.rhs) == (1, 0)
 
 
+def test_hom_pair_refuses_non_integral_images():
+    with pytest.raises(ValueError, match="f_v image 1.5 is not an integer"):
+        HomPair(f_v=(1.5,), f_b=(0,))
+    with pytest.raises(ValueError, match="f_b image 0.9 is not an integer"):
+        HomPair(f_v=(1,), f_b=(0.9,))
+    hom = HomPair(f_v=(1.0, np.int64(2), True), f_b=(np.uint8(0),))
+    assert (hom.f_v, hom.f_b) == ((1, 2, 1), (0,))
+    assert {type(x) for x in hom.f_v + hom.f_b} == {int}
+
+
 def test_verify_hom_range_validation():
     d = fano()
     with pytest.raises(ValueError):
@@ -221,6 +231,25 @@ def test_projective_plane_rejects_non_prime_order():
     for bad in (0, 1, 4, 6, 8, 9):
         with pytest.raises(ValueError):
             gen_projective_plane(bad)
+
+
+def test_projective_plane_refuses_a_non_integral_order():
+    with pytest.raises(ValueError, match="order 2.7 is not an integer"):
+        gen_projective_plane(2.7)
+    assert gen_projective_plane(3.0) == gen_projective_plane(np.int64(3))
+
+
+def test_generators_match_their_loop_oracles():
+    for d in (2, 3, 5, 7, 11):
+        reps = [t for t in itertools.product(range(d), repeat=3)
+                if any(t) and next(x for x in t if x) == 1]
+        want = [[1 if sum(p * q for p, q in zip(pt, ln)) % d == 0 else 0 for ln in reps]
+                for pt in reps]
+        assert gen_projective_plane(d).chi.tolist() == want
+    for v, k in [(1, 1), (4, 2), (5, 3), (6, 1), (5, 5), (7, 3)]:
+        blocks = list(itertools.combinations(range(v), k))
+        want = [[1 if i in blk else 0 for blk in blocks] for i in range(v)]
+        assert gen_complete(v, k).chi.tolist() == want
 
 
 def test_complete_design_matrix_and_parameters():

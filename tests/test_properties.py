@@ -9,9 +9,12 @@ import itertools
 
 import numpy as np
 
+from designkit import linalg
 from designkit.catalog import dumps, loads
 from designkit.classical import (
     ClassicalDesign,
+    DesignParams,
+    HomCheck,
     HomPair,
     check_identities,
     classify,
@@ -20,10 +23,11 @@ from designkit.classical import (
     gen_complete,
     gen_projective_plane,
     tensor,
+    to_block,
     verify_hom,
 )
 from designkit.cpmaps import Algebra, CpMap, functor_q
-from designkit.linalg import DEFAULT_TOL, ComplexMatrix, NatMatrix
+from designkit.linalg import DEFAULT_TOL, ComplexMatrix, NatMatrix, kron, mat_mul, transpose
 from designkit.quantum import (
     QuantumDesign,
     check_identities_q,
@@ -205,3 +209,191 @@ def test_file_round_trips_are_byte_identical_for_random_documents():
                 assert np.array_equal(p.a, q.a)
         else:
             assert np.array_equal(back.m.a, obj.m.a)
+
+
+# Reference implementations on object arrays of Python ints, kept from before
+# NatMatrix stored bounded entries as int64.
+
+
+def _objects(m):
+    return np.array(m.tolist(), dtype=object)
+
+
+def oracle_classify(design):
+    """classify with an object-dtype Gram product and a scan of its entries."""
+    chi = _objects(design.chi)
+    col = [int(s) for s in chi.sum(axis=0)]
+    k = col[0] if all(s == col[0] for s in col) else None
+    row = [int(s) for s in chi.sum(axis=1)]
+    r = row[0] if all(s == row[0] for s in row) else None
+    lam = None
+    if k is not None and r is not None and design.v >= 2:
+        g = chi @ chi.T
+        if all(int(g[i, i]) == r for i in range(design.v)):
+            off = [int(g[i, j]) for i in range(design.v) for j in range(design.v) if i != j]
+            if all(x == off[0] for x in off):
+                lam = off[0]
+    return DesignParams(k=k, r=r, lam=lam, symmetric=design.v == design.b)
+
+
+def oracle_verify_hom(src, dst, hom):
+    """verify_hom as a loop over target points and source blocks, for in-range maps."""
+    chi_s = src.chi.tolist()
+    chi_d = dst.chi.tolist()
+    for i in range(dst.v):
+        for j in range(src.b):
+            lhs = sum(chi_s[a][j] for a in range(src.v) if hom.f_v[a] == i)
+            rhs = chi_d[i][hom.f_b[j]]
+            if lhs != rhs:
+                return HomCheck(ok=False, cell=(i, j), lhs=lhs, rhs=rhs)
+    return HomCheck(ok=True)
+
+
+def _assert_storage(m):
+    """int64 when every entry is below 2**63, else Python ints; tolist gives Python ints."""
+    listed = [x for row in m.tolist() for x in row]
+    assert {type(x) for x in listed} == {int}
+    if max(listed) < 2**63:
+        assert m.a.dtype == np.int64
+    else:
+        assert m.a.dtype == object and {type(x) for x in m.a.flat} == {int}
+
+
+def _assert_same(got, want_objects):
+    _assert_storage(got)
+    assert got.tolist() == want_objects.tolist()
+
+
+def test_exact_arithmetic_on_both_sides_of_the_int64_and_float64_bounds(monkeypatch):
+    float_products = []
+    real = linalg._float64_matmul
+    monkeypatch.setattr(linalg, "_float64_matmul",
+                        lambda x, y: float_products.append(x.shape) or real(x, y))
+    top = 2**63 - 1
+
+    # Construction: int64 up to 2**63 - 1, Python ints from 2**63 on, whatever the input type.
+    for entries, dtype in (
+        ([[top, 0]], np.int64), ([[2**63, 0]], object), ([[np.uint64(2**64 - 1), 1]], object),
+        ([[2**70, True, 3.0, np.int64(4)]], object), ([[top, True, 3.0, np.int64(4)]], np.int64),
+        (np.array([[top, 1]], dtype=np.uint64), np.int64),
+        (np.array([[2**64 - 1, 1]], dtype=np.uint64), object),
+    ):
+        m = NatMatrix(entries)
+        assert m.a.dtype == dtype
+        _assert_storage(m)
+        assert m.tolist() == [[int(x) for x in row] for row in entries]
+        assert transpose(m).a.dtype == dtype
+        assert transpose(m).tolist() == _objects(m).T.tolist()
+
+    # Sums: int64 while max * count < 2**63; past it int64 would wrap to a negative.
+    for row, total in (([2**62 - 1, 2**62 - 1], 2**63 - 2), ([2**62, 2**62], 2**63),
+                       ([2**70, 1], 2**70 + 1)):
+        m = NatMatrix([row])
+        assert m.row_sums() == [total] == _objects(m).sum(axis=1).tolist()
+        assert m.col_sums() == row
+        assert {type(x) for x in m.row_sums() + m.col_sums()} == {int}
+
+    # Products: float64 BLAS while max|A| max|B| inner < 2**53, else Python ints.
+    # [[2**27, 1]] @ [[2**26], [1]] = 2**53 + 1, which binary64 rounds to 2**53.
+    cases = [
+        ([[2**26 - 1, 1]], [[2**26], [1]], True),  # bound 2**53 - 2**27
+        ([[2**53 - 1]], [[1]], True),  # bound 2**53 - 1
+        ([[2**53]], [[1]], False),  # bound 2**53
+        ([[2**27, 1]], [[2**26], [1]], False),  # bound 2**54
+        ([[2**31]], [[2**32 - 1]], False),  # product 2**63 - 2**31: stored int64
+        ([[2**31]], [[2**32]], False),  # product 2**63: stored as a Python int
+        ([[2**70, 1]], [[0], [5]], False),
+        ([[2**62 + 1, 7]], [[0], [0]], True),  # a zero factor: bound 0
+    ]
+    for a, b, on_blas in cases:
+        x, y = NatMatrix(a), NatMatrix(b)
+        float_products.clear()
+        _assert_same(mat_mul(x, y), _objects(x) @ _objects(y))
+        assert bool(float_products) == on_blas, (a, b)
+
+    # Kronecker products: int64 while max|A| max|B| < 2**63.
+    for a, b in (([[2**31, 1]], [[2**32 - 1], [2]]), ([[2**31, 1]], [[2**32], [2]]),
+                 ([[2**70]], [[0, 1]]), ([[2**70]], [[0, 0]])):
+        x, y = NatMatrix(a), NatMatrix(b)
+        _assert_same(kron(x, y), np.kron(_objects(x), _objects(y)))
+        got = tensor(ClassicalDesign(x), ClassicalDesign(y)).chi
+        assert got == kron(x, y)
+    assert kron(NatMatrix([[2**31]]), NatMatrix([[2**32 - 1]])).a.dtype == np.int64
+    assert kron(NatMatrix([[2**31]]), NatMatrix([[2**32]])).a.dtype == object
+
+    # classify and verify_hom at the same boundaries, on both product paths.
+    big = 2**62
+    designs = [
+        ClassicalDesign(NatMatrix([[big, big], [big, big]])),  # sums reach 2**63
+        ClassicalDesign(NatMatrix([[big - 1, 0], [0, big - 1]])),
+        ClassicalDesign(NatMatrix([[2**26, 2**26], [2**26, 2**26]])),  # Gram bound 2**53
+        ClassicalDesign(NatMatrix([[2**26 - 1] * 2] * 2)),  # Gram bound just below
+        ClassicalDesign(NatMatrix([[2**70, 1]])),
+    ]
+    float_products.clear()
+    for design in designs:
+        assert classify(design) == oracle_classify(design)
+        merge = HomPair(f_v=(0,) * design.v, f_b=tuple(range(design.b)))
+        target = ClassicalDesign(NatMatrix([design.chi.col_sums()]))
+        for dst in (target, to_block(target)):
+            got = verify_hom(design, dst, merge)
+            assert got == oracle_verify_hom(design, dst, merge)
+            assert {type(x) for x in (got.lhs, got.rhs)} <= {int, type(None)}
+    assert float_products  # the 2**26 - 1 designs stay below 2**53
+
+
+def _random_chi(rng):
+    v, b = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+    kind = rng.integers(4)
+    if kind == 0:
+        return rng.integers(0, 2, size=(v, b))
+    if kind == 1:  # multiplicities
+        return rng.integers(0, 4, size=(v, b))
+    if kind == 2:  # entries near 2**62, so that sums and products leave int64
+        return rng.integers(0, 2, size=(v, b)) * (2**62 - int(rng.integers(2)))
+    design = _classical_pool()[int(rng.integers(len(_classical_pool())))]
+    return design.chi.a[rng.permutation(design.v)][:, rng.permutation(design.b)]
+
+
+def test_vectorised_classify_and_verify_hom_match_the_loop_oracles():
+    rng = np.random.default_rng(2718)
+    seen = {"lam": 0, "no-lam": 0, "v=1": 0, "hom-ok": 0, "hom-fail": 0, "merged-fail": 0,
+            "many-fail": 0}
+    for _ in range(N_CASES):
+        src = ClassicalDesign(NatMatrix(_random_chi(rng)))
+        params = classify(src)
+        assert params == oracle_classify(src)
+        assert {type(x) for x in (params.k, params.r, params.lam)} <= {int, type(None)}
+        seen["lam" if params.lam is not None else "no-lam"] += 1
+        seen["v=1"] += src.v == 1
+
+        # A point map that may merge points, a block permutation, and the
+        # target that makes the square commute; then one cell of it changed.
+        dst_v = int(rng.integers(1, src.v + 1))
+        f_v = tuple(int(x) for x in rng.integers(0, dst_v, size=src.v))
+        f_b = tuple(int(x) for x in rng.permutation(src.b))
+        moved = np.zeros((dst_v, src.v), dtype=object)
+        moved[list(f_v), range(src.v)] = 1
+        image = moved @ _objects(src.chi)
+        target = np.empty_like(image)
+        target[:, list(f_b)] = image
+        hom = HomPair(f_v=f_v, f_b=f_b)
+        dst = ClassicalDesign(NatMatrix(target.tolist()))
+        assert verify_hom(src, dst, hom) == oracle_verify_hom(src, dst, hom) == HomCheck(ok=True)
+        seen["hom-ok"] += 1
+        for _ in range(int(rng.integers(1, 4))):
+            i, j = int(rng.integers(dst_v)), int(rng.integers(src.b))
+            target[i, j] += int(rng.integers(1, 3))
+        dst = ClassicalDesign(NatMatrix(target.tolist()))
+        got = verify_hom(src, dst, hom)
+        assert got == oracle_verify_hom(src, dst, hom) and not got.ok
+        seen["hom-fail"] += 1
+        seen["merged-fail"] += len(set(f_v)) < src.v
+        # Against an unrelated target, usually with many failing cells.
+        dst = ClassicalDesign(NatMatrix(_random_chi(rng)))
+        hom = HomPair(f_v=tuple(int(x) for x in rng.integers(0, dst.v, size=src.v)),
+                      f_b=tuple(int(x) for x in rng.integers(0, dst.b, size=src.b)))
+        got = verify_hom(src, dst, hom)
+        assert got == oracle_verify_hom(src, dst, hom)
+        seen["many-fail"] += not got.ok and len(set(hom.f_v)) < src.v and src.b > 1
+    assert all(count >= 10 for count in seen.values()), seen
