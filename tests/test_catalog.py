@@ -27,6 +27,7 @@ from designkit.classical import ClassicalDesign, classify, gen_complete, gen_pro
 from designkit.cpmaps import Algebra, CpMap, verify_cp_design
 from designkit.linalg import DEFAULT_TOL, ComplexMatrix, NatMatrix
 from designkit.quantum import QuantumDesign, classify_quantum, mub_generate, mub_verify
+from test_properties import assert_nat_storage
 
 
 def test_canonical_json_is_sorted_compact_and_newline_terminated():
@@ -294,20 +295,13 @@ def _oracle_loads(text: str, monkeypatch):
         return catalog.loads(text)
 
 
-def _nat_storage_ok(m) -> bool:
-    """int64 when every entry is below 2**63, else Python ints only; tolist gives Python ints."""
-    listed = [x for row in m.tolist() for x in row]
-    if max(listed) < 2**63:
-        stored = m.a.dtype == np.int64
-    else:
-        stored = m.a.dtype == object and {type(x) for x in m.a.flat} == {int}
-    return stored and {type(x) for x in listed} == {int}
-
-
 def _same_value(a, b) -> bool:
     if isinstance(a, ClassicalDesign):
-        return (isinstance(b, ClassicalDesign) and a.chi == b.chi
-                and _nat_storage_ok(a.chi) and _nat_storage_ok(b.chi))
+        if not isinstance(b, ClassicalDesign):
+            return False
+        assert_nat_storage(a.chi)
+        assert_nat_storage(b.chi)
+        return a.chi == b.chi
     if isinstance(a, QuantumDesign):
         return (isinstance(b, QuantumDesign) and len(a.projectors) == len(b.projectors)
                 and all(p.a.dtype == q.a.dtype and p.a.shape == q.a.shape

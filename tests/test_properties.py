@@ -249,7 +249,7 @@ def oracle_verify_hom(src, dst, hom):
     return HomCheck(ok=True)
 
 
-def _assert_storage(m):
+def assert_nat_storage(m):
     """int64 when every entry is below 2**63, else Python ints; tolist gives Python ints."""
     listed = [x for row in m.tolist() for x in row]
     assert {type(x) for x in listed} == {int}
@@ -260,7 +260,7 @@ def _assert_storage(m):
 
 
 def _assert_same(got, want_objects):
-    _assert_storage(got)
+    assert_nat_storage(got)
     assert got.tolist() == want_objects.tolist()
 
 
@@ -280,7 +280,7 @@ def test_exact_arithmetic_on_both_sides_of_the_int64_and_float64_bounds(monkeypa
     ):
         m = NatMatrix(entries)
         assert m.a.dtype == dtype
-        _assert_storage(m)
+        assert_nat_storage(m)
         assert m.tolist() == [[int(x) for x in row] for row in entries]
         assert transpose(m).a.dtype == dtype
         assert transpose(m).tolist() == _objects(m).T.tolist()
