@@ -116,7 +116,7 @@ class NatMatrix:
     __slots__ = ("a",)
 
     def __init__(self, entries) -> None:
-        if isinstance(entries, np.ndarray) and entries.dtype.kind in "biu":
+        if isinstance(entries, np.ndarray) and entries.dtype.kind in "biu" and (entries >= 0).all():
             entries = entries.tolist()  # Python ints (bools), converted in one call
         rows = [list(r) for r in entries]
         if not rows or not rows[0]:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,15 @@ def test_nat_matrix_rejects_bad_entries():
         NatMatrix([[1, 2], [3]])
     with pytest.raises(ValueError):
         NatMatrix([])
+
+
+def test_nat_matrix_names_the_first_bad_entry_of_any_input():
+    for entries, bad in (([[1, 2], [3, -4]], "-4"), ([[1, 2.5, -1]], "2.5"),
+                         (np.array([[0, 1], [-2, -3]]), "np.int64(-2)"),
+                         (np.array([[1.0, 0.5]]), "np.float64(0.5)"),
+                         ([[np.float32(1.0)]], "np.float32(1.0)"), ([[1, "2"]], "'2'")):
+        with pytest.raises(ValueError, match=re.escape(f"entry {bad} is not a nonnegative integer")):
+            NatMatrix(entries)
 
 
 def test_nat_matrix_accepts_integral_floats_and_numpy_ints():
