@@ -10,8 +10,10 @@ duals, generates projective planes and complete designs, and searches for
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -309,14 +311,46 @@ def search_designs(
     representative per column ordering.  Raises InfeasibleParametersError
     when the counting identities already rule the parameters out.  ``limit``
     caps the number of returned designs; None means exhaustive.
+
+    A node is cut only when its subtree holds no design, so the designs come
+    out in plain depth-first order whatever the bounds cut:
+
+    - row bound: a point's deficit r - row_cnt[x] is at most the blocks left;
+    - pair bound: lam - pair_cnt[x][y] <= r - row_cnt[x], since every later
+      block through {x, y} passes through x;
+    - lex bound (canonical_only): every point and pair with a deficit lies in
+      some k-subset at or after the last column placed.
     """
     _search_feasible(v, b, k, r, lam)
     if limit is not None and limit <= 0:
         return []
+    if k == 0:
+        # Only the all-zero design is possible; the prechecks already force
+        # r = 0 and (for v >= 2) lam = 0 here.
+        return [ClassicalDesign(NatMatrix._raw(np.zeros((v, b), dtype=np.int64)))]
     subsets = list(itertools.combinations(range(v), k))
-    pair_idx = [[(s[i], s[j]) for i in range(k) for j in range(i + 1, k)] for s in subsets]
+    pair_idx = [list(itertools.combinations(s, 2)) for s in subsets]
+    # Bit x*v + y (x <= y) stands for the Gram cell (x, y): a point on the
+    # diagonal, a pair above it.  missing[i] holds the cells that no subset
+    # at index i or later covers.
+    cells = []
+    for s in subsets:
+        points = 0
+        for p in s:
+            points |= 1 << p
+        mask = 0
+        for p in s:
+            mask |= (points >> p << p) << (p * v)  # cells (p, y) for y >= p in s
+        cells.append(mask)
+    suffix = list(itertools.accumulate(reversed(cells), operator.or_))[::-1]
+    covered = suffix[0]
+    missing = [covered ^ m for m in suffix]
     row_cnt = [0] * v
+    # Symmetric pair counts.  The diagonal holds lam, so that min() over a
+    # row reads only the pairs' own deficits.
     pair_cnt = [[0] * v for _ in range(v)]
+    for x in range(v):
+        pair_cnt[x][x] = lam
     chosen: list[int] = []
     found: list[ClassicalDesign] = []
 
@@ -329,61 +363,86 @@ def search_designs(
                 return False
         return True
 
-    def place(ci: int, sign: int) -> None:
+    def place(ci: int) -> int:
+        """Add column ci; return the cells it brings up to their target."""
+        filled = 0
         for p in subsets[ci]:
-            row_cnt[p] += sign
+            row_cnt[p] += 1
+            if row_cnt[p] == r:
+                filled |= 1 << (p * v + p)
         for (x, y) in pair_idx[ci]:
-            pair_cnt[x][y] += sign
+            pair_cnt[x][y] += 1
+            pair_cnt[y][x] += 1
+            if pair_cnt[x][y] == lam:
+                filled |= 1 << (x * v + y)
+        return filled
+
+    def unplace(ci: int) -> None:
+        for p in subsets[ci]:
+            row_cnt[p] -= 1
+        for (x, y) in pair_idx[ci]:
+            pair_cnt[x][y] -= 1
+            pair_cnt[y][x] -= 1
+
+    def pairs_bounded(ci: int) -> bool:
+        # Only the row deficits of ci's points moved, so only their rows can
+        # newly break the pair bound.
+        return all(lam - min(pair_cnt[p]) <= r - row_cnt[p] for p in subsets[ci])
 
     def emit() -> None:
-        for i in range(v):
-            for j in range(i + 1, v):
-                if pair_cnt[i][j] != lam:
-                    return
-        chi = [[0] * b for _ in range(v)]
-        for j, ci in enumerate(chosen):
-            for p in subsets[ci]:
-                chi[p][j] = 1
-        found.append(ClassicalDesign(NatMatrix(chi)))
+        # No balance check is needed: every column fitted, so each row count
+        # is at most r and each pair count at most lam.  The row counts sum
+        # to b*k = r*v and the pair counts to b*C(k, 2) = lam*C(v, 2), so
+        # every row count is r and every pair count is lam.
+        chi = np.zeros((v, b), dtype=np.int64)
+        chi[[subsets[ci] for ci in chosen], np.arange(b)[:, np.newaxis]] = 1
+        found.append(ClassicalDesign(NatMatrix._raw(chi)))
 
-    def rec(depth: int, start: int) -> bool:
+    def rec(depth: int, start: int, need: int) -> bool:
+        """need holds the cells still below their target."""
         if depth == b:
             emit()
             return limit is not None and len(found) >= limit
-        remaining = b - depth
-        deficit = max(r - c for c in row_cnt)
-        if deficit > remaining:
+        if r - min(row_cnt) > b - depth:
             return False
-        lo = start if canonical_only else 0
-        for ci in range(lo, len(subsets)):
+        if canonical_only:
+            # missing[i] grows with i.  A column at index hi or later leaves
+            # a cell of need that no later column covers, so the lex bound
+            # cuts it; hi == start cuts this node.
+            lo = start
+            hi = bisect.bisect_left(missing, True, lo=start, key=lambda m: bool(need & m))
+        else:
+            lo, hi = 0, len(subsets)
+        for ci in range(lo, hi):
             if fits(ci):
-                place(ci, +1)
-                chosen.append(ci)
-                stop = rec(depth + 1, ci)
-                chosen.pop()
-                place(ci, -1)
+                filled = place(ci)
+                if pairs_bounded(ci):
+                    chosen.append(ci)
+                    stop = rec(depth + 1, ci, need ^ filled)
+                    chosen.pop()
+                else:
+                    stop = False
+                unplace(ci)
                 if stop:
                     return True
         return False
 
-    if k == 0:
-        # Only the all-zero design is possible; the prechecks already force
-        # r = 0 and (for v >= 2) lam = 0 here.
-        found.append(ClassicalDesign(NatMatrix([[0] * b for _ in range(v)])))
-        return found
-    rec(0, 0)
+    # Every covered cell starts below its target: r >= 1 on the diagonal,
+    # and lam >= 1 wherever k >= 2 puts pairs.
+    rec(0, 0, covered)
     return found
 
 
 def designs_isomorphic(d1: ClassicalDesign, d2: ClassicalDesign) -> bool:
     """Isomorphism up to point relabeling and block reordering.
 
-    Exhaustive over point permutations; restricted to v <= 8 and b <= 8.
+    Exhaustive over point permutations: v! of them, each compared by one sort
+    of the b columns, so only v is restricted, to v <= 8.
     """
     if d1.v != d2.v or d1.b != d2.b:
         return False
-    if d1.v > 8 or d1.b > 8:
-        raise ValueError("isomorphism search is restricted to v <= 8 and b <= 8")
+    if d1.v > 8:
+        raise ValueError("isomorphism search is restricted to v <= 8")
     rows1 = [tuple(row) for row in d1.chi.tolist()]
     cols2 = sorted(zip(*[tuple(row) for row in d2.chi.tolist()]))
     for perm in itertools.permutations(range(d1.v)):

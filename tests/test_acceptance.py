@@ -1,6 +1,6 @@
 """End-to-end acceptance gate.
 
-Nine criteria, each printed as one pass/fail line (run with ``pytest -s``
+Ten criteria, each printed as one pass/fail line (run with ``pytest -s``
 to see them live).  Stated tolerances are asserted directly; stated time
 limits are measured with ``time.perf_counter``.
 """
@@ -269,3 +269,13 @@ def test_criterion_9_plane_of_order_23_is_generated_and_classified_quickly():
     with criterion(9, "classify(pg2-23) gives (553,553,24,24,1) in under 0.3 s", limit_s=0.3):
         params = classify(plane)
     assert (plane.v, plane.b, params.k, params.r, params.lam) == (553, 553, 24, 24, 1)
+
+
+def test_criterion_10_finishing_searches_run_quickly():
+    with criterion(10, "search_designs(7,14,3,6,2, limit=30) runs in under 0.25 s", limit_s=0.25):
+        found = search_designs(7, 14, 3, 6, 2, limit=30)
+    assert len(found) == 30
+    with criterion(10, "the full canonical search at (6,10,3,5,2) returns 12 designs "
+                       "in under 0.1 s", limit_s=0.1):
+        found = search_designs(6, 10, 3, 5, 2)
+    assert len(found) == 12

@@ -346,3 +346,12 @@ def test_designs_isomorphic_size_guard():
     big = ClassicalDesign.from_rows([[1] * 9] * 9)
     with pytest.raises(ValueError):
         designs_isomorphic(big, big)
+
+
+def test_designs_isomorphic_takes_more_than_eight_blocks():
+    found = search_designs(6, 10, 3, 5, 2)  # b = 10; only v drives the cost
+    assert len(found) == 12
+    assert all(designs_isomorphic(design, found[0]) for design in found)
+    rows = found[0].chi.tolist()
+    rows[0][0] = 1 - rows[0][0]
+    assert not designs_isomorphic(ClassicalDesign.from_rows(rows), found[0])

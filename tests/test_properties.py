@@ -5,9 +5,14 @@ law that must hold exactly (integer identities) or within tolerance (float
 identities, round trips).
 """
 
+import ast
 import itertools
+import math
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from designkit import linalg
 from designkit.catalog import dumps, loads
@@ -22,6 +27,7 @@ from designkit.classical import (
     dual,
     gen_complete,
     gen_projective_plane,
+    search_designs,
     tensor,
     to_block,
     verify_hom,
@@ -397,3 +403,175 @@ def test_vectorised_classify_and_verify_hom_match_the_loop_oracles():
         assert got == oracle_verify_hom(src, dst, hom)
         seen["many-fail"] += not got.ok and len(set(hom.f_v)) < src.v and src.b > 1
     assert all(count >= 10 for count in seen.values()), seen
+
+
+# The depth-first search with the row bound alone, kept from before
+# search_designs cut subtrees by its pair and lex-order bounds.
+
+
+def search_oracle(v, b, k, r, lam, limit=None, canonical_only=True):
+    """search_designs without its pair and lex-order bounds, for feasible parameters."""
+    if limit is not None and limit <= 0:
+        return []
+    subsets = list(itertools.combinations(range(v), k))
+    pair_idx = [[(s[i], s[j]) for i in range(k) for j in range(i + 1, k)] for s in subsets]
+    row_cnt = [0] * v
+    pair_cnt = [[0] * v for _ in range(v)]
+    chosen = []
+    found = []
+
+    def fits(ci):
+        for p in subsets[ci]:
+            if row_cnt[p] >= r:
+                return False
+        for (x, y) in pair_idx[ci]:
+            if pair_cnt[x][y] >= lam:
+                return False
+        return True
+
+    def place(ci, sign):
+        for p in subsets[ci]:
+            row_cnt[p] += sign
+        for (x, y) in pair_idx[ci]:
+            pair_cnt[x][y] += sign
+
+    def emit():
+        for i in range(v):
+            for j in range(i + 1, v):
+                if pair_cnt[i][j] != lam:
+                    return
+        chi = [[0] * b for _ in range(v)]
+        for j, ci in enumerate(chosen):
+            for p in subsets[ci]:
+                chi[p][j] = 1
+        found.append(ClassicalDesign(NatMatrix(chi)))
+
+    def rec(depth, start):
+        if depth == b:
+            emit()
+            return limit is not None and len(found) >= limit
+        remaining = b - depth
+        deficit = max(r - c for c in row_cnt)
+        if deficit > remaining:
+            return False
+        lo = start if canonical_only else 0
+        for ci in range(lo, len(subsets)):
+            if fits(ci):
+                place(ci, +1)
+                chosen.append(ci)
+                stop = rec(depth + 1, ci)
+                chosen.pop()
+                place(ci, -1)
+                if stop:
+                    return True
+        return False
+
+    if k == 0:
+        found.append(ClassicalDesign(NatMatrix([[0] * b for _ in range(v)])))
+        return found
+    rec(0, 0)
+    return found
+
+
+def _column_indices(designs, k):
+    """Each design as its sequence of indices into the lex-ordered k-subsets."""
+    out = []
+    for design in designs:
+        index = {s: i for i, s in enumerate(itertools.combinations(range(design.v), k))}
+        out.append(tuple(index[tuple(np.flatnonzero(col))] for col in design.chi.a.T))
+    return out
+
+
+def _benchmark_searches():
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "SEARCHES" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/workloads.py defines no SEARCHES")
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+LIMITS = (1, 5, 20, None)
+
+
+def _search_cases():
+    """(parameters, canonical_only) -> the limits to compare at."""
+    cases = {}
+    for v, b, k, r, lam, limit, _found in _benchmark_searches():
+        cases.setdefault(((v, b, k, r, lam), True), set()).add(limit)
+    for params in ((3, 3, 2, 2, 1), (4, 6, 2, 3, 1), (5, 10, 2, 4, 1), (4, 4, 3, 3, 2),
+                   (9, 12, 3, 4, 1)):
+        for canonical in (True, False) if params[1] <= 6 else (True,):
+            cases.setdefault((params, canonical), set()).update(LIMITS)
+    cases[((7, 14, 3, 6, 2), True)].add(100)
+    cases[((6, 10, 3, 5, 2), True)].update((1, 5, None))
+    return sorted(cases.items(), key=lambda item: (item[0][0][0] * item[0][0][1], item[0]))
+
+
+# The exhaustive oracle search at (9,12,3,4,1) takes minutes.  Its output is
+# every canonical design in lex order of column indices, 840 of them: the
+# affine plane AG(2,3) is the only 2-(9,3,1) design, with 9!/|AGL(2,3)| =
+# 362880/432 labellings, and lambda = 1 repeats no block.  So the oracle runs
+# to 20 there, and the exhaustive result is checked against that count.
+ORACLE_CAP = {(9, 12, 3, 4, 1): 20}
+EXHAUSTIVE_COUNT = {(9, 12, 3, 4, 1): 840}
+
+
+@pytest.mark.parametrize("params, canonical, limits", [
+    pytest.param(p, c, sorted(lims, key=lambda n: math.inf if n is None else n),
+                 id=",".join(map(str, p)) + ("-canonical" if c else "-all"))
+    for (p, c), lims in _search_cases()
+])
+def test_pruned_search_returns_the_oracle_designs_in_the_oracle_order(params, canonical, limits):
+    v, b, k, r, lam = params
+    # Stopping at a limit only truncates the depth-first order, so one oracle
+    # run to the largest limit gives the first n for every smaller n too.
+    want = _column_indices(
+        search_oracle(*params, limit=ORACLE_CAP.get(params, limits[-1]), canonical_only=canonical), k)
+    for limit in limits:
+        got_designs = search_designs(*params, limit=limit, canonical_only=canonical)
+        got = _column_indices(got_designs, k)
+        if limit is None and params in EXHAUSTIVE_COUNT:
+            assert got[:len(want)] == want
+            assert len(got) == EXHAUSTIVE_COUNT[params]
+            assert all(a < b for a, b in zip(got, got[1:]))
+            assert all(list(seq) == sorted(seq) for seq in got)
+            assert all((p.k, p.r, p.lam) == (k, r, lam) for p in map(classify, got_designs))
+        else:
+            assert got == want[:limit], (limit, len(got), len(want))
+
+
+def _nodes(search, *args, **kwargs):
+    """Calls of the search's inner ``rec``, one per node visited."""
+    rec = next(c for c in search.__code__.co_consts if getattr(c, "co_name", None) == "rec")
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "call" and frame.f_code is rec
+
+    sys.setprofile(profile)
+    try:
+        search(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+# Nodes that search_designs visited when its bounds were written; the oracle
+# visits 5596, 43488, 258485 and 1400889 on the same searches.  A bound that
+# stops cutting leaves the designs unchanged, so only this count shows it.
+NODE_BUDGET = {
+    ((7, 7, 3, 3, 1), None): 156,
+    ((6, 10, 3, 5, 2), None): 212,
+    ((7, 14, 3, 6, 2), 30): 419,
+    ((7, 14, 3, 6, 2), 100): 1441,
+}
+
+
+def test_pruned_search_visits_no_more_nodes_than_its_budget():
+    assert _nodes(search_oracle, 7, 7, 3, 3, 1) == 5596  # the counter counts nodes
+    for (params, limit), budget in NODE_BUDGET.items():
+        assert _nodes(search_designs, *params, limit=limit) <= budget, (params, limit)
