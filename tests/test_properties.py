@@ -473,13 +473,15 @@ def search_oracle(v, b, k, r, lam, limit=None, canonical_only=True):
     return found
 
 
-def _column_indices(designs, k):
+def _column_indices(designs, v, k):
     """Each design as its sequence of indices into the lex-ordered k-subsets."""
-    out = []
-    for design in designs:
-        index = {s: i for i, s in enumerate(itertools.combinations(range(design.v), k))}
-        out.append(tuple(index[tuple(np.flatnonzero(col))] for col in design.chi.a.T))
-    return out
+    index = {s: i for i, s in enumerate(itertools.combinations(range(v), k))}
+    return [tuple(index[tuple(np.flatnonzero(col))] for col in design.chi.a.T)
+            for design in designs]
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+LIMITS = (1, 5, 20, None)
 
 
 def _benchmark_searches():
@@ -490,10 +492,6 @@ def _benchmark_searches():
         ):
             return ast.literal_eval(node.value)
     raise AssertionError("perfbench/workloads.py defines no SEARCHES")
-
-
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-LIMITS = (1, 5, 20, None)
 
 
 def _search_cases():
@@ -507,16 +505,16 @@ def _search_cases():
             cases.setdefault((params, canonical), set()).update(LIMITS)
     cases[((7, 14, 3, 6, 2), True)].add(100)
     cases[((6, 10, 3, 5, 2), True)].update((1, 5, None))
-    return sorted(cases.items(), key=lambda item: (item[0][0][0] * item[0][0][1], item[0]))
+    return cases.items()
 
 
-# The exhaustive oracle search at (9,12,3,4,1) takes minutes.  Its output is
-# every canonical design in lex order of column indices, 840 of them: the
-# affine plane AG(2,3) is the only 2-(9,3,1) design, with 9!/|AGL(2,3)| =
-# 362880/432 labellings, and lambda = 1 repeats no block.  So the oracle runs
-# to 20 there, and the exhaustive result is checked against that count.
-ORACLE_CAP = {(9, 12, 3, 4, 1): 20}
-EXHAUSTIVE_COUNT = {(9, 12, 3, 4, 1): 840}
+# The exhaustive oracle search at (9,12,3,4,1) takes minutes, so there it
+# runs to 20 designs only.  Its exhaustive output would be every canonical
+# design in lex order of column indices, and there are 840 of them: AG(2,3)
+# is the only 2-(9,3,1) design, it has 9!/|AGL(2,3)| = 362880/432
+# labellings, and lambda = 1 repeats no block.  So 840 distinct designs in
+# increasing order are exactly that output.
+ORACLE_STOP = {(9, 12, 3, 4, 1): (20, 840)}  # params -> (oracle limit, exhaustive count)
 
 
 @pytest.mark.parametrize("params, canonical, limits", [
@@ -528,17 +526,18 @@ def test_pruned_search_returns_the_oracle_designs_in_the_oracle_order(params, ca
     v, b, k, r, lam = params
     # Stopping at a limit only truncates the depth-first order, so one oracle
     # run to the largest limit gives the first n for every smaller n too.
+    oracle_limit, exhaustive_count = ORACLE_STOP.get(params, (limits[-1], None))
     want = _column_indices(
-        search_oracle(*params, limit=ORACLE_CAP.get(params, limits[-1]), canonical_only=canonical), k)
+        search_oracle(*params, limit=oracle_limit, canonical_only=canonical), v, k)
     for limit in limits:
-        got_designs = search_designs(*params, limit=limit, canonical_only=canonical)
-        got = _column_indices(got_designs, k)
-        if limit is None and params in EXHAUSTIVE_COUNT:
+        found = search_designs(*params, limit=limit, canonical_only=canonical)
+        got = _column_indices(found, v, k)
+        if limit is None and exhaustive_count is not None:
             assert got[:len(want)] == want
-            assert len(got) == EXHAUSTIVE_COUNT[params]
-            assert all(a < b for a, b in zip(got, got[1:]))
+            assert len(got) == exhaustive_count
+            assert all(x < y for x, y in zip(got, got[1:]))
             assert all(list(seq) == sorted(seq) for seq in got)
-            assert all((p.k, p.r, p.lam) == (k, r, lam) for p in map(classify, got_designs))
+            assert all((p.k, p.r, p.lam) == (k, r, lam) for p in map(classify, found))
         else:
             assert got == want[:limit], (limit, len(got), len(want))
 
