@@ -256,14 +256,7 @@ def gen_projective_plane(order: int) -> ClassicalDesign:
 _COMPLETE_MAX_CELLS = 10**6
 
 
-def gen_complete(v: int, k: int) -> ClassicalDesign:
-    """All k-subsets of v points as blocks, in lexicographic order.
-
-    Parameters come out as r = C(v-1, k-1) and lambda = C(v-2, k-2).  Refuses
-    more than _COMPLETE_MAX_CELLS incidence cells before enumerating anything.
-    """
-    if not 1 <= k <= v:
-        raise ValueError(f"need 1 <= k <= v, got k={k}, v={v}")
+def _check_complete_size(v: int, k: int) -> None:
     cells = v  # v * C(v, j) grows with j up to v / 2: stop once past the bound
     for j in range(min(k, v - k)):
         if cells > _COMPLETE_MAX_CELLS:
@@ -272,6 +265,17 @@ def gen_complete(v: int, k: int) -> ClassicalDesign:
     if cells > _COMPLETE_MAX_CELLS:
         raise ValueError(f"v*C(v,k) exceeds the limit of {_COMPLETE_MAX_CELLS} "
                          f"incidence cells for v={v}, k={k}")
+
+
+def gen_complete(v: int, k: int) -> ClassicalDesign:
+    """All k-subsets of v points as blocks, in lexicographic order.
+
+    Parameters come out as r = C(v-1, k-1) and lambda = C(v-2, k-2).  Refuses
+    more than _COMPLETE_MAX_CELLS incidence cells before enumerating anything.
+    """
+    if not 1 <= k <= v:
+        raise ValueError(f"need 1 <= k <= v, got k={k}, v={v}")
+    _check_complete_size(v, k)
     blocks = np.array(list(itertools.combinations(range(v), k)), dtype=np.intp)
     chi = np.zeros((v, len(blocks)), dtype=np.int64)
     chi[blocks, np.arange(len(blocks))[:, np.newaxis]] = 1
@@ -309,7 +313,9 @@ def search_designs(
     canonical_only, column index tuples must be lexicographically
     nondecreasing (repeated blocks stay allowed), which picks one
     representative per column ordering.  Raises InfeasibleParametersError
-    when the counting identities already rule the parameters out.  ``limit``
+    when the counting identities already rule the parameters out, and
+    ValueError when the candidate columns, the incidence matrix of
+    gen_complete(v, k), would exceed _COMPLETE_MAX_CELLS.  ``limit``
     caps the number of returned designs; None means exhaustive.
 
     A node is cut only when its subtree holds no design, so the designs come
@@ -322,6 +328,7 @@ def search_designs(
       some k-subset at or after the last column placed.
     """
     _search_feasible(v, b, k, r, lam)
+    _check_complete_size(v, k)
     if limit is not None and limit <= 0:
         return []
     if k == 0:

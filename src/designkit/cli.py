@@ -52,10 +52,10 @@ from .linalg import Tolerance
 from .quantum import (
     QuantumDesign,
     _classify_projectors,
+    _mub_design,
     _NotFinite,
     check_identities_q,
     mub_generate,
-    mub_verify,
     tensor_q,
     to_classical,
     validate,
@@ -85,50 +85,44 @@ def _digest(text: str) -> str:
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _tolerance(args) -> Tolerance:
-    return Tolerance(abs_eps=args.abs_eps, rel_eps=args.rel_eps)
-
-
 def _check(name: str, passed: bool, **extra) -> dict:
     entry = {"name": name, "passed": passed}
     entry.update(extra)
     return entry
 
 
-def _report(args, command: str, digest: str, subject: dict, parameters: dict,
-            checks: list[dict], notes: list[str]) -> tuple[dict, bool]:
+def _emit(args, command: str, digest: str, subject: dict, parameters: dict,
+          checks: list[dict], notes: list[str], **extra) -> int:
+    """Write a design-report/1 document as JSON or as lines; return the exit code."""
     passed = all(c["passed"] for c in checks)
-    doc = {
-        "schema": SCHEMA_REPORT,
-        "tool": "designkit",
-        "tool_version": __version__,
-        "command": command,
-        "input_digest": digest,
-        "tolerance": {"abs_eps": args.abs_eps, "rel_eps": args.rel_eps},
-        "subject": subject,
-        "parameters": parameters,
-        "checks": checks,
-        "notes": notes,
-        "passed": passed,
-    }
-    return doc, passed
-
-
-def _print_report(args, doc: dict) -> None:
     if args.json:
-        sys.stdout.write(canonical_json(doc))
-        return
-    lines = [f"{doc['command']}: {'PASS' if doc['passed'] else 'FAIL'}"]
-    for key, val in sorted(doc["parameters"].items()):
-        lines.append(f"  {key} = {val!r}")
-    for chk in doc["checks"]:
-        verdict = "pass" if chk["passed"] else "FAIL"
-        extra = {k: v for k, v in chk.items() if k not in ("name", "passed")}
-        suffix = f"  {extra!r}" if extra else ""
-        lines.append(f"  [{verdict}] {chk['name']}{suffix}")
-    for note in doc["notes"]:
-        lines.append(f"  note: {note}")
-    sys.stdout.write("\n".join(lines) + "\n")
+        sys.stdout.write(canonical_json({
+            "schema": SCHEMA_REPORT,
+            "tool": "designkit",
+            "tool_version": __version__,
+            "command": command,
+            "input_digest": digest,
+            "tolerance": {"abs_eps": args.abs_eps, "rel_eps": args.rel_eps},
+            "subject": subject,
+            "parameters": parameters,
+            "checks": checks,
+            "notes": notes,
+            "passed": passed,
+            **extra,
+        }))
+    else:
+        lines = [f"{command}: {'PASS' if passed else 'FAIL'}"]
+        for key, val in sorted(parameters.items()):
+            lines.append(f"  {key} = {val!r}")
+        for chk in checks:
+            verdict = "pass" if chk["passed"] else "FAIL"
+            fields = {k: v for k, v in chk.items() if k not in ("name", "passed")}
+            suffix = f"  {fields!r}" if fields else ""
+            lines.append(f"  [{verdict}] {chk['name']}{suffix}")
+        for note in notes:
+            lines.append(f"  note: {note}")
+        sys.stdout.write("\n".join(lines) + "\n")
+    return EXIT_OK if passed else EXIT_FAIL
 
 
 def _load_as(text: str, want, what: str):
@@ -155,7 +149,7 @@ def cmd_verify_classical(args) -> int:
             checks.append(_check(idc.name, idc.passed, lhs=idc.lhs, rhs=idc.rhs))
     else:
         notes.append("counting identities skipped: k or r not classified")
-    doc, passed = _report(
+    return _emit(
         args,
         "verify-classical",
         _digest(text),
@@ -164,15 +158,12 @@ def cmd_verify_classical(args) -> int:
         checks,
         notes,
     )
-    _print_report(args, doc)
-    return EXIT_OK if passed else EXIT_FAIL
 
 
 def cmd_verify_quantum(args) -> int:
-    tol = _tolerance(args)
     text = _read_text(args.file)
     design = _load_as(text, QuantumDesign, "quantum-design/1")
-    rep = validate(design, tol)
+    rep = validate(design, args.tol)
     checks: list[dict] = []
     notes: list[str] = []
     for chk in rep.checks:
@@ -188,7 +179,7 @@ def cmd_verify_quantum(args) -> int:
     parameters: dict = {"v": design.v, "b": design.b}
     if rep.ok:
         try:
-            params = _classify_projectors(design, tol)
+            params = _classify_projectors(design, args.tol)
         except ValueError as exc:
             checks.append(_check("pairwise traces are real", False, error=str(exc)))
             params = None
@@ -203,11 +194,11 @@ def cmd_verify_quantum(args) -> int:
                 }
             )
             if params.k is not None and params.r is not None:
-                for idc in check_identities_q(design.v, design.b, params, tol):
+                for idc in check_identities_q(design.v, design.b, params, args.tol):
                     checks.append(_check(idc.name, idc.passed, lhs=idc.lhs, rhs=idc.rhs))
             else:
                 notes.append("counting identities skipped: k or r not classified")
-    doc, passed = _report(
+    return _emit(
         args,
         "verify-quantum",
         _digest(text),
@@ -216,8 +207,6 @@ def cmd_verify_quantum(args) -> int:
         checks,
         notes,
     )
-    _print_report(args, doc)
-    return EXIT_OK if passed else EXIT_FAIL
 
 
 def _cp_reading(rep) -> dict:
@@ -233,12 +222,11 @@ def _cp_reading(rep) -> dict:
 
 
 def cmd_verify_cpmap(args) -> int:
-    tol = _tolerance(args)
     text = _read_text(args.file)
     f = _load_as(text, CpMap, "cp-map/1")
-    cp = is_cp(f, tol)
-    tp = is_trace_preserving(f, tol)
-    rep = verify_cp_design(f, tol)
+    cp = is_cp(f, args.tol)
+    tp = is_trace_preserving(f, args.tol)
+    rep = verify_cp_design(f, args.tol)
     checks = [
         _check(
             "completely positive (Choi PSD)",
@@ -272,10 +260,10 @@ def cmd_verify_cpmap(args) -> int:
         and f.out_alg.kind == MATRIX
         and f.in_alg.n == f.out_alg.n
     ):
-        alt = verify_cp_design(superop_from_choi(f.m, f.in_alg.n, f.out_alg.n), tol)
+        alt = verify_cp_design(superop_from_choi(f.m, f.in_alg.n, f.out_alg.n), args.tol)
         parameters["choi_reading"] = _cp_reading(alt)
         notes.append("choi_reading reinterprets the same matrix as a Choi matrix")
-    doc, passed = _report(
+    return _emit(
         args,
         "verify-cpmap",
         _digest(text),
@@ -284,34 +272,27 @@ def cmd_verify_cpmap(args) -> int:
         checks,
         notes,
     )
-    _print_report(args, doc)
-    return EXIT_OK if passed else EXIT_FAIL
 
 
 def cmd_generate(args) -> int:
-    try:
-        if args.kind == "projective-plane":
-            obj = gen_projective_plane(args.order)
-        elif args.kind == "complete":
-            obj = gen_complete(args.v, args.k)
-        else:
-            obj = mub_verify(mub_generate(args.dim, args.count)).design
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.kind == "projective-plane":
+        obj = gen_projective_plane(args.order)
+    elif args.kind == "complete":
+        obj = gen_complete(args.v, args.k)
+    else:
+        obj = _mub_design(mub_generate(args.dim, args.count))
     _write_text(args.output, dumps(obj))
     return EXIT_OK
 
 
 def cmd_convert(args) -> int:
-    tol = _tolerance(args)
     text = _read_text(args.file)
     if args.direction == "c2q":
         design = _load_as(text, ClassicalDesign, "classical-design/1")
     else:
         design = _load_as(text, QuantumDesign, "quantum-design/1")
     try:
-        out = functor_q(design) if args.direction == "c2q" else to_classical(design, tol)
+        out = functor_q(design) if args.direction == "c2q" else to_classical(design, args.tol)
     except _NotFinite:
         raise
     except ValueError as exc:
@@ -322,13 +303,12 @@ def cmd_convert(args) -> int:
 
 
 def cmd_tensor(args) -> int:
-    tol = _tolerance(args)
     a = loads(_read_text(args.file1))
     b = loads(_read_text(args.file2))
     if isinstance(a, ClassicalDesign) and isinstance(b, ClassicalDesign):
         out = tensor_designs(a, b)
     elif isinstance(a, QuantumDesign) and isinstance(b, QuantumDesign):
-        out = tensor_q(a, b, tol)
+        out = tensor_q(a, b, args.tol)
     else:
         raise FormatError(
             f"tensor operands must both be classical or both quantum, "
@@ -371,7 +351,7 @@ def cmd_search(args) -> int:
             _check("at least one design found", bool(found), found=len(found)),
         ]
     if args.json:
-        doc, _ = _report(
+        return _emit(
             args,
             "search",
             _digest(canonical_json(request)),
@@ -379,15 +359,13 @@ def cmd_search(args) -> int:
             {"found": len(found)},
             checks,
             [],
+            designs=[classical_to_doc(d)["incidence"] for d in found],
         )
-        doc["designs"] = [classical_to_doc(d)["incidence"] for d in found]
-        sys.stdout.write(canonical_json(doc))
-    else:
-        print(f"search: found {len(found)} design(s)")
-        for idx, d in enumerate(found):
-            print(f"design {idx}:")
-            for row in d.chi.tolist():
-                print("  " + " ".join(str(x) for x in row))
+    print(f"search: found {len(found)} design(s)")
+    for idx, d in enumerate(found):
+        print(f"design {idx}:")
+        for row in d.chi.tolist():
+            print("  " + " ".join(str(x) for x in row))
     return EXIT_OK if found else EXIT_FAIL
 
 
@@ -399,16 +377,12 @@ def _parse_map(text: str, what: str) -> tuple[int, ...]:
 
 
 def cmd_hom_check(args) -> int:
-    tol = _tolerance(args)
     src_text = _read_text(args.src)
     dst_text = _read_text(args.dst)
     src = _load_as(src_text, ClassicalDesign, "classical-design/1")
     dst = _load_as(dst_text, ClassicalDesign, "classical-design/1")
     hom = HomPair(f_v=_parse_map(args.fv, "--fv"), f_b=_parse_map(args.fb, "--fb"))
-    try:
-        result = verify_hom(src, dst, hom)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    result = verify_hom(src, dst, hom)
     checks = [
         _check(
             "homomorphism square",
@@ -426,7 +400,7 @@ def cmd_hom_check(args) -> int:
     }
     notes = ["indices are 0-based"]
     if result.ok:
-        lift = functor_q_on_hom(src, dst, hom, tol)
+        lift = functor_q_on_hom(src, dst, hom, args.tol)
         parameters["lift_residuals"] = {
             "hom": lift.hom_residual,
             "embedding": lift.embedding_residual,
@@ -436,18 +410,15 @@ def cmd_hom_check(args) -> int:
         notes.append(
             "lift_residuals.outer is nonzero for non-injective block maps; informational"
         )
-    digest = _digest(src_text) + "+" + _digest(dst_text)
-    doc, passed = _report(
+    return _emit(
         args,
         "hom-check",
-        digest,
+        _digest(src_text) + "+" + _digest(dst_text),
         {"type": "hom"},
         parameters,
         checks,
         notes,
     )
-    _print_report(args, doc)
-    return EXIT_OK if passed else EXIT_FAIL
 
 
 def cmd_catalog(args) -> int:
@@ -576,21 +547,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args makes a fresh namespace on every call, so one parser serves all.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        if hasattr(args, "abs_eps"):
+            args.tol = Tolerance(abs_eps=args.abs_eps, rel_eps=args.rel_eps)
         return args.handler(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

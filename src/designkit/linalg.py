@@ -46,8 +46,9 @@ class Tolerance:
     rel_eps: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not (self.abs_eps >= 0.0 and self.rel_eps >= 0.0):
-            raise ValueError("tolerance parameters must be nonnegative")
+        if not (0.0 <= self.abs_eps < math.inf and 0.0 <= self.rel_eps < math.inf):
+            raise ValueError(f"tolerance parameters must be finite and nonnegative, got "
+                             f"abs_eps={self.abs_eps!r}, rel_eps={self.rel_eps!r}")
 
     def close(self, x, y) -> bool:
         """Tol-equality for real or complex scalars; never across a non-finite gap."""

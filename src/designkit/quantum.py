@@ -473,6 +473,14 @@ class MubReport:
 _MUB_FAILURE_CAP = 20
 
 
+def _mub_design(family: MubFamily) -> QuantumDesign:
+    """The projectors x x^dagger onto every basis vector, basis by basis."""
+    vectors = np.column_stack([m.a for m in family.bases])
+    return QuantumDesign(projectors=tuple(
+        ComplexMatrix(np.outer(x, x.conj())) for x in vectors.T
+    ))
+
+
 def mub_verify(family: MubFamily, tol: Tolerance = DEFAULT_TOL) -> MubReport:
     """Check the unbiasedness trace law and package the family as a design.
 
@@ -508,11 +516,7 @@ def mub_verify(family: MubFamily, tol: Tolerance = DEFAULT_TOL) -> MubReport:
                             failures.append((a, i, bb, j, got, expected))
     total = vectors @ vectors.conj().T
     sum_ok = tol.allclose(total, k * np.eye(d))
-    projectors = tuple(
-        ComplexMatrix(np.outer(vectors[:, c], vectors[:, c].conj()))
-        for c in range(k * d)
-    )
-    design = QuantumDesign(projectors=projectors)
+    design = _mub_design(family)
     params: QuantumParams | None
     try:
         params = classify_quantum(design, tol)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -319,6 +320,15 @@ def test_search_k_zero_gives_empty_design():
     found = search_designs(2, 3, 0, 0, 0)
     assert len(found) == 1
     assert found[0].chi.tolist() == [[0, 0, 0], [0, 0, 0]]
+
+
+def test_search_refuses_oversized_candidate_set_at_once():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="limit of 1000000 incidence cells for v=23, k=11"):
+        search_designs(23, 23, 11, 11, 5, limit=1)
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(InfeasibleParametersError):
+        search_designs(23, 23, 11, 11, 6)  # infeasible still comes first
 
 
 def test_search_validates_ranges():

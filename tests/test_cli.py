@@ -253,6 +253,20 @@ def test_generate_writes_to_stdout_by_default(capsys):
     assert loads(out).chi == loads(catalog_text("fano")).chi
 
 
+def test_generate_projective_plane_rejects_non_prime_order(capsys):
+    code, out, err = run(capsys, "generate", "projective-plane", "--order", "4")
+    assert code == 2
+    assert out == ""
+    assert err == "error: order 4 is not prime\n"
+
+
+@pytest.mark.parametrize("dim, count", [(2, 1), (2, 3), (3, 4), (5, 6), (7, 3)])
+def test_generate_mub_prints_the_verified_design(capsys, dim, count):
+    code, out, _ = run(capsys, "generate", "mub", "--dim", str(dim), "--count", str(count))
+    assert code == 0
+    assert out == dumps(quantum.mub_verify(quantum.mub_generate(dim, count)).design)
+
+
 def test_generate_mub_rejects_non_prime_dimension(capsys):
     code, out, err = run(capsys, "generate", "mub", "--dim", "4", "--count", "2")
     assert code == 2
@@ -316,7 +330,8 @@ def test_dual_transposes(fano_file, tmp_path, capsys):
 
 
 # `search --json` reports recorded from the hand-built documents that came
-# before the report went through _report; the bytes must not change.
+# before the report went through the shared report path; the bytes must not
+# change.
 FANO_SEARCH_REPORT = (
     '{"checks":[{"name":"parameters feasible","passed":true},{"found":2,"name":"at least one '
     'design found","passed":true}],"command":"search","designs":[[[1,1,1,0,0,0,0],'
@@ -361,6 +376,35 @@ def test_search_infeasible_parameters_fail(capsys):
     feasible = next(c for c in doc["checks"] if c["name"] == "parameters feasible")
     assert feasible["passed"] is False
     assert "differs" in feasible["error"]
+
+
+def test_search_refuses_oversized_candidate_set(capsys):
+    code, out, err = run(capsys, "search", "--v", "23", "--b", "23", "--k", "11",
+                         "--r", "11", "--lambda", "5", "--limit", "1", "--json")
+    assert code == 2
+    assert out == ""
+    assert "exceeds the limit of 1000000 incidence cells" in err
+
+
+def test_requests_in_one_process_do_not_share_state(capsys):
+    fano = ["search", "--v", "7", "--b", "7", "--k", "3", "--r", "3",
+            "--lambda", "1", "--canonical", "--limit", "2", "--json"]
+    infeasible = ["search", "--v", "4", "--b", "4", "--k", "2", "--r", "2",
+                  "--lambda", "1", "--json"]
+    assert run(capsys, *fano)[:2] == (0, FANO_SEARCH_REPORT)
+    assert run(capsys, *fano, "--bogus")[:2] == (2, "")
+    assert run(capsys, "--version")[:2] == (0, f"designkit {cli.__version__}\n")
+    assert run(capsys, *infeasible)[:2] == (1, INFEASIBLE_SEARCH_REPORT)
+    assert run(capsys, *fano)[:2] == (0, FANO_SEARCH_REPORT)
+
+
+def test_main_reuses_the_parser_built_at_import(monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("build_parser called per request")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert run(capsys, "--version")[:2] == (0, f"designkit {cli.__version__}\n")
+    assert run(capsys, "catalog", "--list")[0] == 0
 
 
 def test_search_human_output_prints_rows(capsys):
@@ -410,10 +454,11 @@ def test_hom_check_rejects_non_integer_maps(fano_file, capsys):
 def test_hom_check_rejects_out_of_range_indices(fano_file, capsys):
     idx = " ".join(str(i) for i in range(7))
     bad = "0 1 2 3 4 5 9"
-    code, _, err = run(capsys, "hom-check", fano_file, fano_file,
+    code, out, err = run(capsys, "hom-check", fano_file, fano_file,
                        "--fv", bad, "--fb", idx)
     assert code == 2
-    assert "error:" in err
+    assert out == ""
+    assert err == "error: point image out of range 0..6\n"
 
 
 def test_catalog_list(capsys):
@@ -462,9 +507,18 @@ def test_no_arguments_is_usage_error(capsys):
     assert "usage" in err.lower()
 
 
-def test_malformed_tolerance_is_usage_error(fano_file, capsys):
-    code, _, _ = run(capsys, "verify-classical", fano_file, "--abs-eps", "garbage")
-    assert code == 2
+def test_malformed_tolerance_is_usage_error(fano_file, tmp_path, capsys):
+    # Text mode, where an unchecked inf or nan would print a passing report.
+    commands = [
+        ["verify-classical", fano_file],
+        ["verify-quantum", write(tmp_path, "mub.json", catalog_text("mub-2-2"))],
+        ["search", "--v", "7", "--b", "7", "--k", "3", "--r", "3", "--lambda", "1"],
+    ]
+    for argv in commands:
+        for value in ["garbage", "-1", "nan", "inf"]:
+            code, out, err = run(capsys, *argv, f"--abs-eps={value}")
+            assert (argv[0], value, code, out) == (argv[0], value, 2, "")
+            assert "error" in err
 
 
 def test_malformed_json_file_is_usage_error(tmp_path, capsys):

@@ -30,6 +30,11 @@ def test_tolerance_rejects_negative_eps():
         Tolerance(abs_eps=-1.0)
     with pytest.raises(ValueError):
         Tolerance(rel_eps=-1e-3)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            Tolerance(abs_eps=bad)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            Tolerance(rel_eps=bad)
 
 
 def test_tolerance_allclose_shape_mismatch_is_false():
