@@ -234,15 +234,28 @@ def _is_prime(n: int) -> bool:
     return all(n % p for p in range(2, int(math.isqrt(n)) + 1))
 
 
+# Largest incidence matrix, in cells, that a generator builds or search_designs
+# draws its candidate columns from.
+_COMPLETE_MAX_CELLS = 10**6
+# Most blocks search_designs places: it recurses once per block, and this
+# stays well under CPython's default limit of 1000 frames.
+_SEARCH_MAX_BLOCKS = 512
+
+
 def gen_projective_plane(order: int) -> ClassicalDesign:
     """Projective plane of prime order d over the field with d elements.
 
     Points and lines are the nonzero triples over F_d normalized so that the
     first nonzero coordinate is 1, listed in lexicographic order; point P lies
     on line L iff P . L = 0 mod d.  Yields v = b = d^2 + d + 1, k = r = d + 1,
-    lambda = 1.
+    lambda = 1.  Refuses more than _COMPLETE_MAX_CELLS incidence cells
+    (d > 31) before building anything.
     """
     d = _as_int(order, "order")
+    # Before the prime test too, whose trial division is slow for a huge d.
+    if (d * d + d + 1) ** 2 > _COMPLETE_MAX_CELLS:
+        raise ValueError(f"(d^2+d+1)^2 exceeds the limit of {_COMPLETE_MAX_CELLS} "
+                         f"incidence cells for d={d}")
     if not _is_prime(d):
         raise ValueError(f"order {d} is not prime")
     triples = np.indices((d, d, d)).reshape(3, -1).T  # lexicographic order
@@ -250,10 +263,6 @@ def gen_projective_plane(order: int) -> ClassicalDesign:
     reps = triples[first_nonzero == 1]  # the zero triple's first entry is 0
     chi = (reps @ reps.T) % d == 0
     return ClassicalDesign(NatMatrix._raw(chi.astype(np.int64)))
-
-
-# Largest incidence matrix, in cells, that gen_complete enumerates.
-_COMPLETE_MAX_CELLS = 10**6
 
 
 def _check_complete_size(v: int, k: int) -> None:
@@ -315,7 +324,8 @@ def search_designs(
     representative per column ordering.  Raises InfeasibleParametersError
     when the counting identities already rule the parameters out, and
     ValueError when the candidate columns, the incidence matrix of
-    gen_complete(v, k), would exceed _COMPLETE_MAX_CELLS.  ``limit``
+    gen_complete(v, k), would exceed _COMPLETE_MAX_CELLS, or when a search
+    with k >= 1 would place more than _SEARCH_MAX_BLOCKS blocks.  ``limit``
     caps the number of returned designs; None means exhaustive.
 
     A node is cut only when its subtree holds no design, so the designs come
@@ -335,6 +345,8 @@ def search_designs(
         # Only the all-zero design is possible; the prechecks already force
         # r = 0 and (for v >= 2) lam = 0 here.
         return [ClassicalDesign(NatMatrix._raw(np.zeros((v, b), dtype=np.int64)))]
+    if b > _SEARCH_MAX_BLOCKS:
+        raise ValueError(f"b={b} exceeds the search limit of {_SEARCH_MAX_BLOCKS} blocks")
     subsets = list(itertools.combinations(range(v), k))
     pair_idx = [list(itertools.combinations(s, 2)) for s in subsets]
     # Bit x*v + y (x <= y) stands for the Gram cell (x, y): a point on the

@@ -56,17 +56,21 @@ class Tolerance:
         # The slack is inf too when x or y is, so the gap must be finite.
         return d <= self.abs_eps + self.rel_eps * max(abs(x), abs(y)) and d < math.inf
 
-    def allclose(self, a, b) -> bool:
-        """Entrywise tol-equality of two arrays; False on shape mismatch or a non-finite gap."""
+    def isclose(self, a, b) -> np.ndarray:
+        """Entrywise :meth:`close` of two broadcastable arrays, as a boolean array."""
         a = np.asarray(a)
         b = np.asarray(b)
-        if a.shape != b.shape:
-            return False
         # A gap between finite entries near 1e308 overflows to inf, which is not close.
         with np.errstate(over="ignore", invalid="ignore"):
             slack = self.abs_eps + self.rel_eps * np.maximum(np.abs(a), np.abs(b))
             d = np.abs(a - b)
-        return bool(((d <= slack) & (d < np.inf)).all())
+        return (d <= slack) & (d < np.inf)
+
+    def allclose(self, a, b) -> bool:
+        """Entrywise tol-equality of two arrays; False on shape mismatch or a non-finite gap."""
+        if np.shape(a) != np.shape(b):
+            return False
+        return bool(self.isclose(a, b).all())
 
     def near_int(self, x) -> int | None:
         """Nearest integer if ``x`` is tol-equal to one, else None."""

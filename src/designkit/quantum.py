@@ -492,30 +492,25 @@ def mub_verify(family: MubFamily, tol: Tolerance = DEFAULT_TOL) -> MubReport:
     """
     d = family.d
     k = family.k
-    residuals = tuple(
-        float(np.abs(m.a.conj().T @ m.a - np.eye(d)).max()) for m in family.bases
-    )
-    orthonormal = all(
-        tol.allclose(m.a.conj().T @ m.a, np.eye(d)) for m in family.bases
-    )
+    eye = np.eye(d)
+    grams = [m.a.conj().T @ m.a for m in family.bases]
+    residuals = tuple(float(np.abs(g - eye).max()) for g in grams)
+    orthonormal = all(tol.allclose(g, eye) for g in grams)
     vectors = np.column_stack([m.a for m in family.bases])
     overlaps = np.abs(vectors.conj().T @ vectors) ** 2
-    failures: list[tuple[int, int, int, int, float, float]] = []
-    count = 0
-    for a in range(k):
-        for i in range(d):
-            for bb in range(k):
-                for j in range(d):
-                    if (a, i) > (bb, j):
-                        continue
-                    expected = (1.0 if (i == j) else 0.0) if a == bb else 1.0 / d
-                    got = float(overlaps[a * d + i, bb * d + j])
-                    if not tol.close(got, expected):
-                        count += 1
-                        if len(failures) < _MUB_FAILURE_CAP:
-                            failures.append((a, i, bb, j, got, expected))
+    # Row a*d + i, column b*d + j holds Tr(p_i^a p_j^b); its law is delta_ij
+    # within a basis and 1/d across bases.  Pairs are read once, on and above
+    # the diagonal, in row-major order.
+    basis = np.arange(k * d) // d
+    expected = np.where(basis[:, np.newaxis] == basis, np.eye(k * d), 1.0 / d)
+    rows, cols = np.nonzero(np.triu(~tol.isclose(overlaps, expected)))
+    count = len(rows)
+    failures = [
+        (*divmod(p, d), *divmod(q, d), float(overlaps[p, q]), float(expected[p, q]))
+        for p, q in zip(rows[:_MUB_FAILURE_CAP].tolist(), cols[:_MUB_FAILURE_CAP].tolist())
+    ]
     total = vectors @ vectors.conj().T
-    sum_ok = tol.allclose(total, k * np.eye(d))
+    sum_ok = tol.allclose(total, k * eye)
     design = _mub_design(family)
     params: QuantumParams | None
     try:

@@ -240,6 +240,24 @@ def test_projective_plane_refuses_a_non_integral_order():
     assert gen_projective_plane(3.0) == gen_projective_plane(np.int64(3))
 
 
+def test_projective_plane_size_guard_is_exact(monkeypatch):
+    import designkit.classical as classical
+
+    monkeypatch.setattr(classical, "_COMPLETE_MAX_CELLS", 13 * 13)
+    assert gen_projective_plane(3).v == 13
+    with pytest.raises(ValueError, match="limit of 169 incidence cells for d=5"):
+        gen_projective_plane(5)
+
+
+def test_projective_plane_refuses_oversized_orders_at_once():
+    start = time.perf_counter()
+    # 10**18 + 9 is refused before a trial division up to 10**9 could start.
+    for order in (37, 10**18 + 9):
+        with pytest.raises(ValueError, match=f"1000000 incidence cells for d={order}$"):
+            gen_projective_plane(order)
+    assert time.perf_counter() - start < 0.1
+
+
 def test_generators_match_their_loop_oracles():
     for d in (2, 3, 5, 7, 11):
         reps = [t for t in itertools.product(range(d), repeat=3)
@@ -329,6 +347,25 @@ def test_search_refuses_oversized_candidate_set_at_once():
     assert time.perf_counter() - start < 0.1
     with pytest.raises(InfeasibleParametersError):
         search_designs(23, 23, 11, 11, 6)  # infeasible still comes first
+
+
+def test_search_block_guard_is_exact(monkeypatch):
+    import designkit.classical as classical
+
+    monkeypatch.setattr(classical, "_SEARCH_MAX_BLOCKS", 6)
+    assert len(search_designs(2, 6, 1, 3, 0, limit=1)) == 1
+    with pytest.raises(ValueError, match="b=8 exceeds the search limit of 6 blocks"):
+        search_designs(2, 8, 1, 4, 0, limit=1)
+    with pytest.raises(InfeasibleParametersError):
+        search_designs(2, 8, 1, 3, 0)  # infeasible still comes first
+    # With k = 0 nothing is placed, so the one all-zero design still comes back.
+    assert search_designs(2, 8, 0, 0, 0)[0].chi.tolist() == [[0] * 8, [0] * 8]
+
+
+def test_search_at_the_block_bound_stays_under_the_recursion_limit():
+    # One frame of the inner recursion per block placed.
+    found = search_designs(2, 512, 1, 256, 0, limit=1)
+    assert found[0].chi.tolist() == [[1] * 256 + [0] * 256, [0] * 256 + [1] * 256]
 
 
 def test_search_validates_ranges():

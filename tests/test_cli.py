@@ -7,7 +7,7 @@ import pytest
 
 from designkit import cli, quantum
 from designkit.catalog import canonical_json, catalog_text, dumps, loads
-from designkit.classical import ClassicalDesign
+from designkit.classical import ClassicalDesign, gen_projective_plane
 from designkit.cli import main
 from designkit.cpmaps import Algebra, CpMap
 from designkit.linalg import ComplexMatrix, NatMatrix
@@ -260,6 +260,14 @@ def test_generate_projective_plane_rejects_non_prime_order(capsys):
     assert err == "error: order 4 is not prime\n"
 
 
+def test_generate_projective_plane_rejects_oversized_order_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "generate", "projective-plane", "--order", "37")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: (d^2+d+1)^2 exceeds the limit of 1000000 incidence cells for d=37\n"
+
+
 @pytest.mark.parametrize("dim, count", [(2, 1), (2, 3), (3, 4), (5, 6), (7, 3)])
 def test_generate_mub_prints_the_verified_design(capsys, dim, count):
     code, out, _ = run(capsys, "generate", "mub", "--dim", str(dim), "--count", str(count))
@@ -386,6 +394,12 @@ def test_search_refuses_oversized_candidate_set(capsys):
     assert "exceeds the limit of 1000000 incidence cells" in err
 
 
+def test_search_refuses_more_blocks_than_it_can_recurse_through(capsys):
+    code, out, err = run(capsys, "search", "--v", "2", "--b", "2000", "--k", "1",
+                         "--r", "1000", "--lambda", "0", "--limit", "1", "--json")
+    assert (code, out, err) == (2, "", "error: b=2000 exceeds the search limit of 512 blocks\n")
+
+
 def test_requests_in_one_process_do_not_share_state(capsys):
     fano = ["search", "--v", "7", "--b", "7", "--k", "3", "--r", "3",
             "--lambda", "1", "--canonical", "--limit", "2", "--json"]
@@ -459,6 +473,77 @@ def test_hom_check_rejects_out_of_range_indices(fano_file, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: point image out of range 0..6\n"
+
+
+# hom-check --json bytes for an identity, a relabelling and a block merge,
+# pinned so that any way of computing the lifted residuals must reproduce them.
+HOM_CHECK_FANO_IDENTITY = (
+    '{"checks":[{"cell":null,"lhs":null,"name":"homomorphism square","passed":true,"rhs":null}],'
+    '"command":"hom-check",'
+    '"input_digest":"sha256:27bf5a29cb887e11d9bfd54d16c45e2d2e4d4b9cfee67b102663b9ee060def5d+'
+    'sha256:27bf5a29cb887e11d9bfd54d16c45e2d2e4d4b9cfee67b102663b9ee060def5d",'
+    '"notes":["indices are 0-based",'
+    '"lift_residuals.outer is nonzero for non-injective block maps; informational"],'
+    '"parameters":{"dst":{"b":7,"v":7},"f_b":[0,1,2,3,4,5,6],"f_v":[0,1,2,3,4,5,6],'
+    '"lift_residuals":{"all_within_tolerance":true,"embedding":0.0,"hom":0.0,"outer":0.0},'
+    '"src":{"b":7,"v":7}},"passed":true,"schema":"design-report/1","subject":{"type":"hom"},'
+    '"tolerance":{"abs_eps":1e-09,"rel_eps":1e-09},"tool":"designkit","tool_version":"0.1.0"}\n'
+)
+HOM_CHECK_PG2_3_RELABELLED = (
+    '{"checks":[{"cell":null,"lhs":null,"name":"homomorphism square","passed":true,"rhs":null}],'
+    '"command":"hom-check",'
+    '"input_digest":"sha256:8f23820fa71b5a9c21c4a15cc93550f17a62ff405cb607b68a18831d1d13c04e+'
+    'sha256:32fd46963f5148ed513eaff14cfb2d0337fb37575108b51fe8d55aa531120f67",'
+    '"notes":["indices are 0-based",'
+    '"lift_residuals.outer is nonzero for non-injective block maps; informational"],'
+    '"parameters":{"dst":{"b":13,"v":13},"f_b":[1,4,7,10,0,3,6,9,12,2,5,8,11],"f_v":[2,7,12,4,9,'
+    '1,6,11,3,8,0,5,10],"lift_residuals":{"all_within_tolerance":true,"embedding":0.0,"hom":0.0,'
+    '"outer":0.0},"src":{"b":13,"v":13}},"passed":true,"schema":"design-report/1",'
+    '"subject":{"type":"hom"},"tolerance":{"abs_eps":1e-09,"rel_eps":1e-09},"tool":"designkit",'
+    '"tool_version":"0.1.0"}\n'
+)
+HOM_CHECK_BLOCK_MERGE = (
+    '{"checks":[{"cell":null,"lhs":null,"name":"homomorphism square","passed":true,"rhs":null}],'
+    '"command":"hom-check",'
+    '"input_digest":"sha256:d0aa2bed14f6fccb7bb135aa5c857e1ebab2515b86aaa994558a37c79c348f06+'
+    'sha256:dca436f6a6f59f232bc74c9a3b0af87156f382a4003fe088271010c9fddf2f5f",'
+    '"notes":["indices are 0-based",'
+    '"lift_residuals.outer is nonzero for non-injective block maps; informational"],'
+    '"parameters":{"dst":{"b":2,"v":2},"f_b":[0,0,1],"f_v":[0,1],'
+    '"lift_residuals":{"all_within_tolerance":false,"embedding":0.0,"hom":0.0,"outer":1.0},'
+    '"src":{"b":3,"v":2}},"passed":true,"schema":"design-report/1","subject":{"type":"hom"},'
+    '"tolerance":{"abs_eps":1e-09,"rel_eps":1e-09},"tool":"designkit","tool_version":"0.1.0"}\n'
+)
+
+
+def relabelled_pg2_3():
+    plane = gen_projective_plane(3)
+    f_v = [(5 * p + 2) % 13 for p in range(13)]
+    f_b = [(3 * j + 1) % 13 for j in range(13)]
+    moved = [[0] * 13 for _ in range(13)]
+    for i, row in enumerate(plane.chi.tolist()):
+        for j, x in enumerate(row):
+            moved[f_v[i]][f_b[j]] = x
+    return dumps(plane), dumps(ClassicalDesign.from_rows(moved)), f_v, f_b
+
+
+@pytest.mark.parametrize("case", ["fano", "pg2-3", "merge"])
+def test_hom_check_json_bytes_are_pinned(tmp_path, capsys, case):
+    if case == "fano":
+        fano = catalog_text("fano")
+        src, dst, f_v, f_b, want = fano, fano, range(7), range(7), HOM_CHECK_FANO_IDENTITY
+    elif case == "pg2-3":
+        src, dst, f_v, f_b = relabelled_pg2_3()
+        want = HOM_CHECK_PG2_3_RELABELLED
+    else:
+        # Blocks 0 and 1 both map to block 0: outer is chi'[0, 0] = 1.
+        src = dumps(ClassicalDesign.from_rows([[1, 1, 0], [0, 0, 1]]))
+        dst = dumps(ClassicalDesign.from_rows([[1, 0], [0, 1]]))
+        f_v, f_b, want = [0, 1], [0, 0, 1], HOM_CHECK_BLOCK_MERGE
+    code, out, err = run(capsys, "hom-check", write(tmp_path, "src.json", src),
+                         write(tmp_path, "dst.json", dst), "--fv", " ".join(map(str, f_v)),
+                         "--fb", " ".join(map(str, f_b)), "--json")
+    assert (code, out, err) == (0, want, "")
 
 
 def test_catalog_list(capsys):

@@ -1,10 +1,18 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from designkit import cpmaps
-from designkit.classical import ClassicalDesign, HomPair, classify, gen_complete, gen_projective_plane
+from designkit.classical import (
+    ClassicalDesign,
+    HomCheck,
+    HomPair,
+    classify,
+    gen_complete,
+    gen_projective_plane,
+)
 from designkit.cpmaps import (
     Algebra,
     CpMap,
@@ -285,15 +293,30 @@ def test_functor_q_on_hom_flags_non_injective_block_map():
     assert not lift.ok
 
 
+def _subset_matrix(images, target):
+    # (target, len(images)): the 0/1 selector of a point or block map.
+    f = np.zeros((target, len(images)), dtype=np.complex128)
+    for src, dst in enumerate(images):
+        f[dst, src] = 1.0
+    return f
+
+
+def _diag_embedder(n):
+    # (n^2, n): places a coordinate vector on the diagonal of vec form.
+    e = np.zeros((n * n, n), dtype=np.complex128)
+    e[:: n + 1] = np.eye(n)
+    return e
+
+
 def dense_functor_q_on_hom(src, dst, hom):
     # The lifted residuals as first written, with the dense Kronecker product.
     chi_s = src.chi.to_complex().a
     chi_d = dst.chi.to_complex().a
-    f_v = cpmaps._subset_matrix(hom.f_v, dst.v)
-    f_b = cpmaps._subset_matrix(hom.f_b, dst.b)
+    f_v = _subset_matrix(hom.f_v, dst.v)
+    f_b = _subset_matrix(hom.f_b, dst.b)
     hom_res = float(np.abs(f_v @ chi_s - chi_d @ f_b).max())
-    delta_s = cpmaps._diag_embedder(src.b)
-    delta_d = cpmaps._diag_embedder(dst.b)
+    delta_s = _diag_embedder(src.b)
+    delta_d = _diag_embedder(dst.b)
     emb_res = float(np.abs(np.kron(f_b, f_b) @ delta_s - delta_d @ f_b).max())
     outer_res = float(
         np.abs(chi_d @ delta_d.T @ np.kron(f_b, f_b) - f_v @ chi_s @ delta_s.T).max()
@@ -340,6 +363,21 @@ def test_functor_q_on_hom_matches_dense_kronecker_reference_exactly():
         injective.add(len(set(hom.f_b)) == len(hom.f_b))
         assert lift.ok == (lift.outer_residual == 0.0)
     assert injective == {True, False}
+
+
+def test_functor_q_on_hom_allocates_less_than_the_target_incidence(monkeypatch):
+    design = gen_projective_plane(11)
+    ident = HomPair(f_v=tuple(range(design.v)), f_b=tuple(range(design.b)))
+    monkeypatch.setattr(cpmaps, "verify_hom", lambda *args: HomCheck(ok=True))
+    tracemalloc.start()
+    try:
+        lift = functor_q_on_hom(design, design, ident)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lift.ok
+    # The dense selectors would take 133^3 complex entries (37 MB) here.
+    assert peak < design.chi.a.nbytes
 
 
 def test_verify_cp_design_identity_channel():

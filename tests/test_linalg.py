@@ -58,6 +58,19 @@ def test_tolerance_never_counts_a_non_finite_gap_as_close():
     assert not tol.allclose([1e308], [1e307])
 
 
+def test_tolerance_isclose_is_close_entrywise():
+    tol = Tolerance(abs_eps=1e-9, rel_eps=1e-9)
+    inf = float("inf")
+    values = [0.0, 1e-10, 1.0, 1.0 + 1e-9, 1.0 + 3e-9, -1.0, 1j, complex(1.0, 1e-10),
+              1e308, 1e308 * (1 + 5e-10), -1e308, inf, -inf, float("nan")]
+    xs, ys = zip(*[(x, y) for x in values for y in values])
+    want = [tol.close(x, y) for x, y in zip(xs, ys)]
+    got = tol.isclose(np.array(xs).reshape(14, 14), np.array(ys).reshape(14, 14))
+    assert got.shape == (14, 14)
+    assert got.reshape(-1).tolist() == want
+    assert any(want) and not all(want)
+
+
 def test_tolerance_near_int():
     assert DEFAULT_TOL.near_int(3.0 + 1e-12) == 3
     assert DEFAULT_TOL.near_int(2.5) is None

@@ -604,6 +604,47 @@ def test_mub_verify_rejects_duplicated_basis():
     assert rep.sum_ok
 
 
+def trace_law_oracle(family, tol):
+    # The trace law as first written: one tol.close per pair, in row-major order.
+    d, k = family.d, family.k
+    vectors = np.column_stack([m.a for m in family.bases])
+    overlaps = np.abs(vectors.conj().T @ vectors) ** 2
+    failures = []
+    count = 0
+    for a in range(k):
+        for i in range(d):
+            for bb in range(k):
+                for j in range(d):
+                    if (a, i) > (bb, j):
+                        continue
+                    expected = (1.0 if (i == j) else 0.0) if a == bb else 1.0 / d
+                    got = float(overlaps[a * d + i, bb * d + j])
+                    if not tol.close(got, expected):
+                        count += 1
+                        if len(failures) < 20:
+                            failures.append((a, i, bb, j, got, expected))
+    return tuple(failures), count
+
+
+def test_mub_trace_law_matches_the_loop_oracle_on_seeded_families():
+    rng = np.random.default_rng(5150)
+    counts = set()
+    for d, k in [(2, 3), (3, 4), (5, 6), (7, 3)]:
+        bases = [m.a for m in mub_generate(d, k).bases]
+        families = [bases, bases + bases[:1], [random_unitary(d, int(rng.integers(1000)))] * k]
+        for scale in (1e-11, 1e-9, 1e-6, 1e-3):
+            families.append([m + scale * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+                             for m in bases])
+        for tol in (DEFAULT_TOL, Tolerance(abs_eps=1e-6, rel_eps=0.0)):
+            for mats in families:
+                family = MubFamily(bases=tuple(ComplexMatrix(m) for m in mats))
+                rep = mub_verify(family, tol)
+                want = trace_law_oracle(family, tol)
+                assert (rep.trace_failures, rep.trace_failure_count) == want
+                counts.add(rep.trace_failure_count)
+    assert 0 in counts and max(counts) > 20  # the cap of 20 is exercised
+
+
 def test_mub_verify_rejects_non_orthonormal_basis():
     fam = mub_generate(2, 2)
     scaled = MubFamily(bases=(fam.bases[0], ComplexMatrix(2 * fam.bases[1].a)))
