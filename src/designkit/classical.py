@@ -208,9 +208,9 @@ def verify_hom(src: ClassicalDesign, dst: ClassicalDesign, hom: HomPair) -> HomC
 
 def compose_hom(first: HomPair, second: HomPair) -> HomPair:
     """Compose homomorphisms: apply ``first``, then ``second``."""
-    if first.f_v and max(first.f_v) >= len(second.f_v):
+    if any(not 0 <= x < len(second.f_v) for x in first.f_v):
         raise ValueError("point maps do not compose: middle sizes disagree")
-    if first.f_b and max(first.f_b) >= len(second.f_b):
+    if any(not 0 <= x < len(second.f_b) for x in first.f_b):
         raise ValueError("block maps do not compose: middle sizes disagree")
     return HomPair(
         f_v=tuple(second.f_v[x] for x in first.f_v),
@@ -235,7 +235,8 @@ def _is_prime(n: int) -> bool:
 
 
 # Largest incidence matrix, in cells, that a generator builds or search_designs
-# draws its candidate columns from.
+# draws its candidate columns from; quantum.mub_generate bounds its projector
+# entries by it too.
 _COMPLETE_MAX_CELLS = 10**6
 # Most blocks search_designs places: it recurses once per block, and this
 # stays well under CPython's default limit of 1000 frames.

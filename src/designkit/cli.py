@@ -41,8 +41,8 @@ from .classical import (
 from .cpmaps import (
     MATRIX,
     CpMap,
+    _lift,
     functor_q,
-    functor_q_on_hom,
     is_cp,
     is_trace_preserving,
     superop_from_choi,
@@ -400,7 +400,7 @@ def cmd_hom_check(args) -> int:
     }
     notes = ["indices are 0-based"]
     if result.ok:
-        lift = functor_q_on_hom(src, dst, hom, args.tol)
+        lift = _lift(dst, hom)
         parameters["lift_residuals"] = {
             "hom": lift.hom_residual,
             "embedding": lift.embedding_residual,

@@ -24,8 +24,7 @@ import numpy as np
 
 from .classical import ClassicalDesign, HomPair, classify, verify_hom
 from .linalg import DEFAULT_TOL, ComplexMatrix, Tolerance
-from .quantum import QuantumDesign
-from .quantum import validate as validate_projectors
+from .quantum import QuantumDesign, _require_projectors
 
 __all__ = [
     "Algebra",
@@ -241,8 +240,7 @@ def classical_to_cp(design: ClassicalDesign) -> CpMap:
 
 def quantum_design_to_cp(design: QuantumDesign) -> CpMap:
     """Projector family as a map Commutative(v) -> Matrix(b), column i = vec(p_i)."""
-    if not validate_projectors(design).ok:
-        raise ValueError("design fails projector validation")
+    _require_projectors(design, DEFAULT_TOL)
     cols = np.column_stack([vec(p.a) for p in design.projectors])
     return CpMap(
         in_alg=Algebra.commutative(design.v),
@@ -292,6 +290,7 @@ class HomLiftCheck:
     the largest entry of chi' in a block that two or more source blocks map
     to, so zero whenever the block map is injective (permutations in
     particular), and an honest obstruction witness when it is not.
+    ok: every square commutes, decided exactly: outer_residual is 0.
     """
 
     hom_residual: float
@@ -300,23 +299,25 @@ class HomLiftCheck:
     ok: bool
 
 
-def functor_q_on_hom(
-    src: ClassicalDesign,
-    dst: ClassicalDesign,
-    hom: HomPair,
-    tol: Tolerance = DEFAULT_TOL,
-) -> HomLiftCheck:
+def functor_q_on_hom(src: ClassicalDesign, dst: ClassicalDesign, hom: HomPair) -> HomLiftCheck:
     """Check the lifted commuting squares of a verified hom, by index.
 
     Precondition: verify_hom(src, dst, hom) passes; raises ValueError
     otherwise.  Delta is the diagonal comultiplication x -> x (x) x on
     coordinates; mu = Delta^T is the multiplication.  F_v and F_b are the
     0/1 selector matrices of the point and block maps.  Every residual is
-    read off the integer data in O(v' b'); no selector is built.
+    read off the integer data in O(v' b'); no selector is built.  The
+    residuals are integers, so the verdict is exact and takes no tolerance;
+    an outer residual beyond binary64 raises ValueError.
     """
     check = verify_hom(src, dst, hom)
     if not check.ok:
         raise ValueError(f"hom square fails at cell {check.cell}: {check.lhs} != {check.rhs}")
+    return _lift(dst, hom)
+
+
+def _lift(dst: ClassicalDesign, hom: HomPair) -> HomLiftCheck:
+    """functor_q_on_hom for a hom that verify_hom has already proved."""
     # verify_hom has proved F_v chi = chi' F_b exactly over the integers.
     hom_res = 0.0
     # (F_b (x) F_b) Delta and Delta' F_b both send block j to e_(f(j), f(j)).
@@ -326,12 +327,17 @@ def functor_q_on_hom(
     # and 0 otherwise.  They differ exactly where j != k and f(j) = f(k), by
     # chi'[i, f(j)]: the largest entry of chi' in a block hit twice or more.
     merged = np.bincount(hom.f_b, minlength=dst.b) > 1
-    outer_res = float(dst.chi.a.max(axis=0)[merged].max(initial=0))
+    outer = dst.chi.a.max(axis=0)[merged].max(initial=0)
+    try:
+        outer_res = float(outer)
+    except OverflowError:
+        raise ValueError(f"outer residual {outer} (an entry of a merged destination block) "
+                         "exceeds binary64") from None
     return HomLiftCheck(
         hom_residual=hom_res,
         embedding_residual=emb_res,
         outer_residual=outer_res,
-        ok=outer_res <= tol.abs_eps + tol.rel_eps,
+        ok=bool(outer == 0),
     )
 
 

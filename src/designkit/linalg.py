@@ -51,16 +51,15 @@ class Tolerance:
                              f"abs_eps={self.abs_eps!r}, rel_eps={self.rel_eps!r}")
 
     def close(self, x, y) -> bool:
-        """Tol-equality for real or complex scalars; never across a non-finite gap."""
-        d = abs(x - y)
-        # The slack is inf too when x or y is, so the gap must be finite.
-        return d <= self.abs_eps + self.rel_eps * max(abs(x), abs(y)) and d < math.inf
+        """Tol-equality for real or complex scalars: :meth:`isclose` of two scalars."""
+        return bool(self.isclose(x, y))
 
     def isclose(self, a, b) -> np.ndarray:
-        """Entrywise :meth:`close` of two broadcastable arrays, as a boolean array."""
+        """Entrywise tol-equality of two broadcastable arrays, as a boolean array."""
         a = np.asarray(a)
         b = np.asarray(b)
-        # A gap between finite entries near 1e308 overflows to inf, which is not close.
+        # The slack is inf when an entry is, so the gap must be finite too; a gap
+        # between finite entries near 1e308 overflows to inf, which is not close.
         with np.errstate(over="ignore", invalid="ignore"):
             slack = self.abs_eps + self.rel_eps * np.maximum(np.abs(a), np.abs(b))
             d = np.abs(a - b)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import ClassicalDesign, IdentityCheck, _is_prime
+from .classical import _COMPLETE_MAX_CELLS, ClassicalDesign, IdentityCheck, _is_prime
 from .linalg import (
     DEFAULT_TOL,
     ComplexMatrix,
@@ -174,7 +174,7 @@ def _classify_projectors(design: QuantumDesign, tol: Tolerance) -> QuantumParams
     v, b = design.v, design.b
     traces = np.einsum("aii->a", stack)
     r0 = tol.near_int(traces[0])
-    r = r0 if r0 is not None and r0 >= 0 and all(tol.close(t, r0) for t in traces) else None
+    r = r0 if r0 is not None and r0 >= 0 and tol.isclose(traces, r0).all() else None
     total = stack.sum(axis=0)
     k_cand = float(np.trace(total).real) / b
     k = k_cand if tol.allclose(total, k_cand * np.eye(b)) else None
@@ -188,8 +188,7 @@ def _classify_projectors(design: QuantumDesign, tol: Tolerance) -> QuantumParams
         gram[:, lo : lo + step] = flat @ transposed.T
     pairs = np.triu_indices(v, 1)
     z = gram[pairs]
-    imag = np.abs(z.imag)
-    not_real = ~((imag <= tol.abs_eps + tol.rel_eps * imag) & (imag < np.inf))
+    not_real = ~tol.isclose(z.imag, 0.0)
     if not_real.any():
         first = int(np.argmax(not_real))
         i, j = int(pairs[0][first]), int(pairs[1][first])
@@ -426,8 +425,15 @@ def mub_generate(d: int, k: int) -> MubFamily:
     Basis 0 is computational.  For d = 2 the further bases are the +-x and
     +-y eigenbases.  For odd prime d, basis t (1 <= t <= d) has vectors
     with components omega^(t*l^2 + j*l) / sqrt(d), omega = exp(2*pi*i/d),
-    j indexing the vector and l the component.
+    j indexing the vector and l the component.  Refuses more than
+    _COMPLETE_MAX_CELLS complex entries in the projectors, k * d^3, before
+    anything else.
     """
+    # At least one basis, and before the prime test, whose trial division is
+    # slow for a huge d.
+    if max(k, 1) * d**3 > _COMPLETE_MAX_CELLS:
+        raise ValueError(f"k*d^3 exceeds the limit of {_COMPLETE_MAX_CELLS} projector entries "
+                         f"for d={d}, k={k}")
     if not _is_prime(d):
         raise ValueError(f"dimension {d} is not prime")
     if not 1 <= k <= d + 1:

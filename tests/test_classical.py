@@ -194,6 +194,14 @@ def test_compose_hom_dimension_mismatch():
         compose_hom(h1, h2)
 
 
+def test_compose_hom_refuses_negative_images():
+    second = HomPair(f_v=(5, 7), f_b=(1, 3))
+    with pytest.raises(ValueError, match="point maps do not compose"):
+        compose_hom(HomPair(f_v=(-1,), f_b=(0,)), second)
+    with pytest.raises(ValueError, match="block maps do not compose"):
+        compose_hom(HomPair(f_v=(0,), f_b=(-2,)), second)
+
+
 def test_tensor_multiplies_parameters():
     t = tensor(fano(), gen_complete(3, 2))
     p = classify(t)

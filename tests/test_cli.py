@@ -5,9 +5,9 @@ import warnings
 
 import pytest
 
-from designkit import cli, quantum
+from designkit import cli, cpmaps, quantum
 from designkit.catalog import canonical_json, catalog_text, dumps, loads
-from designkit.classical import ClassicalDesign, gen_projective_plane
+from designkit.classical import ClassicalDesign, gen_projective_plane, verify_hom
 from designkit.cli import main
 from designkit.cpmaps import Algebra, CpMap
 from designkit.linalg import ComplexMatrix, NatMatrix
@@ -282,6 +282,14 @@ def test_generate_mub_rejects_non_prime_dimension(capsys):
     assert "error:" in err
 
 
+def test_generate_mub_rejects_oversized_request_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "generate", "mub", "--dim", "37", "--count", "27")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: k*d^3 exceeds the limit of 1000000 projector entries for d=37, k=27\n"
+
+
 def test_convert_round_trip_preserves_block_multiset(fano_file, tmp_path, capsys):
     qpath = str(tmp_path / "fano-q.json")
     code, _, _ = run(capsys, "convert", "c2q", fano_file, "-o", qpath)
@@ -515,6 +523,21 @@ HOM_CHECK_BLOCK_MERGE = (
     '"tolerance":{"abs_eps":1e-09,"rel_eps":1e-09},"tool":"designkit","tool_version":"0.1.0"}\n'
 )
 
+# The block merge under --abs-eps 1: the lift verdict is exact, so an integer
+# witness of 1 still fails.
+HOM_CHECK_BLOCK_MERGE_ABS_EPS_1 = (
+    '{"checks":[{"cell":null,"lhs":null,"name":"homomorphism square","passed":true,"rhs":null}],'
+    '"command":"hom-check",'
+    '"input_digest":"sha256:d0aa2bed14f6fccb7bb135aa5c857e1ebab2515b86aaa994558a37c79c348f06+'
+    'sha256:dca436f6a6f59f232bc74c9a3b0af87156f382a4003fe088271010c9fddf2f5f",'
+    '"notes":["indices are 0-based",'
+    '"lift_residuals.outer is nonzero for non-injective block maps; informational"],'
+    '"parameters":{"dst":{"b":2,"v":2},"f_b":[0,0,1],"f_v":[0,1],'
+    '"lift_residuals":{"all_within_tolerance":false,"embedding":0.0,"hom":0.0,"outer":1.0},'
+    '"src":{"b":3,"v":2}},"passed":true,"schema":"design-report/1","subject":{"type":"hom"},'
+    '"tolerance":{"abs_eps":1.0,"rel_eps":1e-09},"tool":"designkit","tool_version":"0.1.0"}\n'
+)
+
 
 def relabelled_pg2_3():
     plane = gen_projective_plane(3)
@@ -527,8 +550,9 @@ def relabelled_pg2_3():
     return dumps(plane), dumps(ClassicalDesign.from_rows(moved)), f_v, f_b
 
 
-@pytest.mark.parametrize("case", ["fano", "pg2-3", "merge"])
+@pytest.mark.parametrize("case", ["fano", "pg2-3", "merge", "merge-abs-eps-1"])
 def test_hom_check_json_bytes_are_pinned(tmp_path, capsys, case):
+    extra = []
     if case == "fano":
         fano = catalog_text("fano")
         src, dst, f_v, f_b, want = fano, fano, range(7), range(7), HOM_CHECK_FANO_IDENTITY
@@ -540,10 +564,39 @@ def test_hom_check_json_bytes_are_pinned(tmp_path, capsys, case):
         src = dumps(ClassicalDesign.from_rows([[1, 1, 0], [0, 0, 1]]))
         dst = dumps(ClassicalDesign.from_rows([[1, 0], [0, 1]]))
         f_v, f_b, want = [0, 1], [0, 0, 1], HOM_CHECK_BLOCK_MERGE
+        if case == "merge-abs-eps-1":
+            extra, want = ["--abs-eps", "1"], HOM_CHECK_BLOCK_MERGE_ABS_EPS_1
     code, out, err = run(capsys, "hom-check", write(tmp_path, "src.json", src),
                          write(tmp_path, "dst.json", dst), "--fv", " ".join(map(str, f_v)),
-                         "--fb", " ".join(map(str, f_b)), "--json")
+                         "--fb", " ".join(map(str, f_b)), "--json", *extra)
     assert (code, out, err) == (0, want, "")
+
+
+def test_hom_check_proves_the_square_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(src, dst, hom):
+        calls.append(hom)
+        return verify_hom(src, dst, hom)
+
+    monkeypatch.setattr(cli, "verify_hom", counting)
+    monkeypatch.setattr(cpmaps, "verify_hom", counting)
+    src, dst, f_v, f_b = relabelled_pg2_3()
+    code, _, _ = run(capsys, "hom-check", write(tmp_path, "src.json", src),
+                     write(tmp_path, "dst.json", dst), "--fv", " ".join(map(str, f_v)),
+                     "--fb", " ".join(map(str, f_b)), "--json")
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_hom_check_refuses_an_outer_residual_beyond_binary64(tmp_path, capsys):
+    huge = 10**400
+    src = write(tmp_path, "src.json", dumps(ClassicalDesign.from_rows([[huge, huge]])))
+    dst = write(tmp_path, "dst.json", dumps(ClassicalDesign.from_rows([[huge]])))
+    code, out, err = run(capsys, "hom-check", src, dst, "--fv", "0", "--fb", "0 0")
+    assert (code, out) == (2, "")
+    assert err == f"error: outer residual {huge} (an entry of a merged destination block) " \
+                  "exceeds binary64\n"
 
 
 def test_catalog_list(capsys):

@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 import warnings
 
@@ -231,7 +232,7 @@ def test_quantum_design_to_cp_columns_are_vec_projectors():
 
 def test_quantum_design_to_cp_requires_valid_design():
     bad = QuantumDesign(projectors=(ComplexMatrix(0.5 * np.eye(2)),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"not a projector family: indices \[0\] fail validation"):
         quantum_design_to_cp(bad)
 
 
@@ -291,6 +292,22 @@ def test_functor_q_on_hom_flags_non_injective_block_map():
     assert lift.embedding_residual == 0.0
     assert lift.outer_residual == pytest.approx(1.0)
     assert not lift.ok
+
+
+def test_functor_q_on_hom_decides_exactly_and_names_an_outer_beyond_binary64():
+    assert list(inspect.signature(functor_q_on_hom).parameters) == ["src", "dst", "hom"]
+    design = gen_projective_plane(2)
+    ident = HomPair(f_v=tuple(range(7)), f_b=tuple(range(7)))
+    assert functor_q_on_hom(design, design, ident).ok is True
+    merge = HomPair(f_v=(0, 1), f_b=(0, 0, 1))
+    src = ClassicalDesign.from_rows([[1, 1, 0], [0, 0, 1]])
+    dst = ClassicalDesign.from_rows([[1, 0], [0, 1]])
+    assert functor_q_on_hom(src, dst, merge).ok is False
+    huge = 10**400
+    src = ClassicalDesign.from_rows([[huge, huge]])
+    dst = ClassicalDesign.from_rows([[huge]])
+    with pytest.raises(ValueError, match=f"outer residual {huge} .* exceeds binary64"):
+        functor_q_on_hom(src, dst, HomPair(f_v=(0,), f_b=(0, 0)))
 
 
 def _subset_matrix(images, target):

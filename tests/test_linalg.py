@@ -58,15 +58,26 @@ def test_tolerance_never_counts_a_non_finite_gap_as_close():
     assert not tol.allclose([1e308], [1e307])
 
 
+def scalar_close(tol, x, y):
+    # The scalar rule as first written, before close delegated to isclose.
+    d = abs(x - y)
+    return d <= tol.abs_eps + tol.rel_eps * max(abs(x), abs(y)) and d < float("inf")
+
+
 def test_tolerance_isclose_is_close_entrywise():
     tol = Tolerance(abs_eps=1e-9, rel_eps=1e-9)
     inf = float("inf")
     values = [0.0, 1e-10, 1.0, 1.0 + 1e-9, 1.0 + 3e-9, -1.0, 1j, complex(1.0, 1e-10),
-              1e308, 1e308 * (1 + 5e-10), -1e308, inf, -inf, float("nan")]
+              1e308, 1e308 * (1 + 5e-10), -1e308, inf, -inf, float("nan"),
+              -0.0, 5e-324, -5e-324, 1.0 + 2.1e-9, complex(0.0, -1e-9), 1.7976931348623157e308,
+              complex(inf, 0.0)]
+    n = len(values)
     xs, ys = zip(*[(x, y) for x in values for y in values])
-    want = [tol.close(x, y) for x, y in zip(xs, ys)]
-    got = tol.isclose(np.array(xs).reshape(14, 14), np.array(ys).reshape(14, 14))
-    assert got.shape == (14, 14)
+    want = [scalar_close(tol, x, y) for x, y in zip(xs, ys)]
+    assert [tol.close(x, y) for x, y in zip(xs, ys)] == want
+    assert {type(tol.close(x, y)) for x, y in zip(xs, ys)} == {bool}
+    got = tol.isclose(np.array(xs).reshape(n, n), np.array(ys).reshape(n, n))
+    assert got.shape == (n, n)
     assert got.reshape(-1).tolist() == want
     assert any(want) and not all(want)
 
@@ -75,6 +86,11 @@ def test_tolerance_near_int():
     assert DEFAULT_TOL.near_int(3.0 + 1e-12) == 3
     assert DEFAULT_TOL.near_int(2.5) is None
     assert DEFAULT_TOL.near_int(-1.0) == -1
+    # Beyond int64 the nearest integer is a Python int, and the rule still holds.
+    assert DEFAULT_TOL.near_int(1e300) == int(1e300)
+    assert DEFAULT_TOL.near_int(-1e300) == -int(1e300)
+    assert DEFAULT_TOL.near_int(complex(1e300, 1.0)) == int(1e300)
+    assert DEFAULT_TOL.near_int(complex(1.0, 1e-3)) is None
 
 
 def test_nat_matrix_construction_and_sums():

@@ -579,6 +579,22 @@ def test_mub_generate_guards():
         mub_generate(3, 5)
 
 
+def test_mub_generate_refuses_more_than_the_entry_bound_first(monkeypatch):
+    monkeypatch.setattr(quantum, "_COMPLETE_MAX_CELLS", 3 * 5**3)
+    assert mub_generate(5, 3).k == 3  # k * d^3 at the bound itself
+    with pytest.raises(ValueError, match=r"k\*d\^3 exceeds the limit of 375 projector entries "
+                       "for d=5, k=4"):
+        mub_generate(5, 4)
+
+    # A huge prime is refused before its trial division, also with k = 0.
+    def unreachable(n):
+        raise AssertionError(f"the prime test ran for {n}")
+
+    monkeypatch.setattr(quantum, "_is_prime", unreachable)
+    with pytest.raises(ValueError, match="for d=2305843009213693951, k=0"):
+        mub_generate(2**61 - 1, 0)
+
+
 @pytest.mark.parametrize("d,k", [(2, 1), (2, 2), (2, 3), (3, 4), (5, 6), (7, 3)])
 def test_mub_verify_accepts_generated_families(d, k):
     rep = mub_verify(mub_generate(d, k))
