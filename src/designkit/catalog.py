@@ -277,18 +277,21 @@ def catalog_names() -> list[str]:
     return sorted(_CATALOG)
 
 
+def _entry(name: str) -> tuple[str, dict]:
+    if name not in _CATALOG:
+        raise ValueError(f"unknown catalog entry {name!r} "
+                         f"(available: {', '.join(catalog_names())})")
+    return _CATALOG[name]
+
+
 def catalog_expected(name: str) -> dict:
     """Parameters recorded for a catalog entry (copy)."""
-    if name not in _CATALOG:
-        raise KeyError(f"unknown catalog entry {name!r}")
-    return dict(_CATALOG[name][1])
+    return dict(_entry(name)[1])
 
 
 def catalog_text(name: str) -> str:
     """Raw canonical document text of a catalog entry."""
-    if name not in _CATALOG:
-        raise KeyError(f"unknown catalog entry {name!r}")
-    fname = _CATALOG[name][0]
+    fname = _entry(name)[0]
     return resources.files(__package__).joinpath("data", fname).read_text(encoding="utf-8")
 
 

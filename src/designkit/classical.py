@@ -27,6 +27,7 @@ __all__ = [
     "HomPair",
     "HomCheck",
     "IdentityCheck",
+    "CheckFailed",
     "InfeasibleParametersError",
     "classify",
     "check_identities",
@@ -116,7 +117,11 @@ class IdentityCheck:
     passed: bool
 
 
-class InfeasibleParametersError(ValueError):
+class CheckFailed(ValueError):
+    """A check ran and the object failed it: a verdict, not refused input."""
+
+
+class InfeasibleParametersError(CheckFailed):
     """Requested design parameters violate a counting identity."""
 
 
@@ -308,6 +313,37 @@ def _search_feasible(v: int, b: int, k: int, r: int, lam: int) -> None:
         )
 
 
+def _lex_bound(v: int, k: int):
+    """The Gram cells that some k-subset of range(v) covers, and the lex cut.
+
+    Bit x*v + y (x <= y) stands for the Gram cell (x, y): a point on the
+    diagonal, a pair above it.  The k-subsets are indexed in lex order, and
+    cut(need, start) is the first index i >= start such that some cell of
+    need lies in no subset at index i or later.  The last subset that holds
+    a cell is the cell plus the largest other points, so the cut bisects
+    over one breakpoint per cell, at most v(v+1)/2 of them.
+    """
+    count = math.comb(v, k)
+    last: dict[int, int] = {}  # index of a last subset -> the cells it ends
+    for x in range(v):
+        # A k-subset s_0 < ... < s_(k-1) has index count - 1 - sum_i C(v-1-s_i, k-i)
+        # in lex order.  The largest other points, with any cell point among
+        # them, run up to v - 1 and add 0 to the sum; only x, then y, can add.
+        head = count - 1 - math.comb(v - 1 - x, k)
+        for y in range(x, v if k >= 2 else x + 1):
+            rank = head - math.comb(v - 1 - y, k - 1) if y > x else head
+            last[rank] = last.get(rank, 0) | 1 << (x * v + y)
+    ends = sorted(last)
+    # masks[j] holds the cells that no subset after ends[j] covers; it grows with j.
+    masks = list(itertools.accumulate((last[e] for e in ends), operator.or_))
+
+    def cut(need: int, start: int) -> int:
+        j = bisect.bisect_left(masks, True, key=lambda m: bool(need & m))
+        return max(start, ends[j] + 1) if j < len(ends) else count
+
+    return masks[-1], cut
+
+
 def search_designs(
     v: int,
     b: int,
@@ -350,21 +386,7 @@ def search_designs(
         raise ValueError(f"b={b} exceeds the search limit of {_SEARCH_MAX_BLOCKS} blocks")
     subsets = list(itertools.combinations(range(v), k))
     pair_idx = [list(itertools.combinations(s, 2)) for s in subsets]
-    # Bit x*v + y (x <= y) stands for the Gram cell (x, y): a point on the
-    # diagonal, a pair above it.  missing[i] holds the cells that no subset
-    # at index i or later covers.
-    cells = []
-    for s in subsets:
-        points = 0
-        for p in s:
-            points |= 1 << p
-        mask = 0
-        for p in s:
-            mask |= (points >> p << p) << (p * v)  # cells (p, y) for y >= p in s
-        cells.append(mask)
-    suffix = list(itertools.accumulate(reversed(cells), operator.or_))[::-1]
-    covered = suffix[0]
-    missing = [covered ^ m for m in suffix]
+    covered, lex_cut = _lex_bound(v, k)
     row_cnt = [0] * v
     # Symmetric pair counts.  The diagonal holds lam, so that min() over a
     # row reads only the pairs' own deficits.
@@ -426,11 +448,10 @@ def search_designs(
         if r - min(row_cnt) > b - depth:
             return False
         if canonical_only:
-            # missing[i] grows with i.  A column at index hi or later leaves
-            # a cell of need that no later column covers, so the lex bound
-            # cuts it; hi == start cuts this node.
-            lo = start
-            hi = bisect.bisect_left(missing, True, lo=start, key=lambda m: bool(need & m))
+            # A column at index hi or later leaves a cell of need that no
+            # later column covers, so the lex bound cuts it; hi == start
+            # cuts this node.
+            lo, hi = start, lex_cut(need, start)
         else:
             lo, hi = 0, len(subsets)
         for ci in range(lo, hi):

@@ -3,7 +3,10 @@
 Subcommands: verify-classical, verify-quantum, verify-cpmap, generate,
 convert, tensor, dual, search, hom-check, catalog.  ``-`` means stdin or
 stdout for FILE arguments.  Exit codes: 0 all checks passed, 1 checks ran
-and failed, 2 usage or format error.  ``--json`` switches reports from
+and failed, 2 usage or format error.  Only ``main`` maps exceptions to exit
+codes: CheckFailed, a verdict on the object such as "not a block design",
+exits 1; any other ValueError or OSError, refused input, exits 2; each
+writes one ``error:`` line to stderr.  ``--json`` switches reports from
 human-readable lines to canonical design-report/1 documents, which are
 byte-identical across runs for identical inputs.
 """
@@ -26,6 +29,7 @@ from .catalog import (
     loads,
 )
 from .classical import (
+    CheckFailed,
     ClassicalDesign,
     HomPair,
     InfeasibleParametersError,
@@ -53,7 +57,6 @@ from .quantum import (
     QuantumDesign,
     _classify_projectors,
     _mub_design,
-    _NotFinite,
     check_identities_q,
     mub_generate,
     tensor_q,
@@ -180,7 +183,7 @@ def cmd_verify_quantum(args) -> int:
     if rep.ok:
         try:
             params = _classify_projectors(design, args.tol)
-        except ValueError as exc:
+        except CheckFailed as exc:
             checks.append(_check("pairwise traces are real", False, error=str(exc)))
             params = None
         if params is not None:
@@ -291,13 +294,7 @@ def cmd_convert(args) -> int:
         design = _load_as(text, ClassicalDesign, "classical-design/1")
     else:
         design = _load_as(text, QuantumDesign, "quantum-design/1")
-    try:
-        out = functor_q(design) if args.direction == "c2q" else to_classical(design, args.tol)
-    except _NotFinite:
-        raise
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    out = functor_q(design) if args.direction == "c2q" else to_classical(design, args.tol)
     _write_text(args.output, dumps(out))
     return EXIT_OK
 
@@ -426,16 +423,7 @@ def cmd_catalog(args) -> int:
         for name in catalog_names():
             print(name)
         return EXIT_OK
-    try:
-        text = catalog_text(args.name)
-    except KeyError:
-        print(
-            f"error: unknown catalog entry {args.name!r} "
-            f"(available: {', '.join(catalog_names())})",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    _write_text(args.output, text)
+    _write_text(args.output, catalog_text(args.name))
     return EXIT_OK
 
 
@@ -560,6 +548,9 @@ def main(argv: list[str] | None = None) -> int:
         if hasattr(args, "abs_eps"):
             args.tol = Tolerance(abs_eps=args.abs_eps, rel_eps=args.rel_eps)
         return args.handler(args)
+    except CheckFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except (OSError, ValueError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import ClassicalDesign, HomPair, classify, verify_hom
+from .classical import CheckFailed, ClassicalDesign, HomPair, classify, verify_hom
 from .linalg import DEFAULT_TOL, ComplexMatrix, Tolerance
 from .quantum import QuantumDesign, _require_projectors
 
@@ -254,12 +254,12 @@ def functor_q(design: ClassicalDesign) -> QuantumDesign:
 
     Row i of the incidence matrix becomes the diagonal projector
     p_i = diag(chi[i, :]).  The result classifies with the same (k, r),
-    degree 1 and trace set {lambda}, and is commutative.  Refuses matrices
-    with multiplicities (apply to_block first; parameters will change) and
-    designs missing any of k, r, lambda.
+    degree 1 and trace set {lambda}, and is commutative.  Raises CheckFailed
+    for matrices with multiplicities (apply to_block first; parameters will
+    change) and designs missing any of k, r, lambda.
     """
     if not design.is_zero_one:
-        raise ValueError(
+        raise CheckFailed(
             "incidence matrix has entries > 1; apply to_block first "
             "(parameters will change)"
         )
@@ -270,7 +270,7 @@ def functor_q(design: ClassicalDesign) -> QuantumDesign:
         if val is None
     ]
     if missing:
-        raise ValueError(f"not a block design: missing parameters {missing}")
+        raise CheckFailed(f"not a block design: missing parameters {missing}")
     rows = design.chi.tolist()
     projectors = tuple(
         ComplexMatrix(np.diag(np.array(row, dtype=np.complex128))) for row in rows
@@ -302,7 +302,7 @@ class HomLiftCheck:
 def functor_q_on_hom(src: ClassicalDesign, dst: ClassicalDesign, hom: HomPair) -> HomLiftCheck:
     """Check the lifted commuting squares of a verified hom, by index.
 
-    Precondition: verify_hom(src, dst, hom) passes; raises ValueError
+    Precondition: verify_hom(src, dst, hom) passes; raises CheckFailed
     otherwise.  Delta is the diagonal comultiplication x -> x (x) x on
     coordinates; mu = Delta^T is the multiplication.  F_v and F_b are the
     0/1 selector matrices of the point and block maps.  Every residual is
@@ -312,7 +312,7 @@ def functor_q_on_hom(src: ClassicalDesign, dst: ClassicalDesign, hom: HomPair) -
     """
     check = verify_hom(src, dst, hom)
     if not check.ok:
-        raise ValueError(f"hom square fails at cell {check.cell}: {check.lhs} != {check.rhs}")
+        raise CheckFailed(f"hom square fails at cell {check.cell}: {check.lhs} != {check.rhs}")
     return _lift(dst, hom)
 
 

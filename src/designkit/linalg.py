@@ -284,7 +284,7 @@ def transpose(m: NatMatrix) -> NatMatrix:
     """Transpose of an integer matrix."""
     if not isinstance(m, NatMatrix):
         raise TypeError("transpose expects a NatMatrix; use adjoint for complex")
-    return NatMatrix._raw(m.a.T.copy())
+    return NatMatrix._raw(m.a.T)  # a view: NatMatrix is immutable
 
 
 def adjoint(m: ComplexMatrix) -> ComplexMatrix:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import _COMPLETE_MAX_CELLS, ClassicalDesign, IdentityCheck, _is_prime
+from .classical import _COMPLETE_MAX_CELLS, CheckFailed, ClassicalDesign, IdentityCheck, _is_prime
 from .linalg import (
     DEFAULT_TOL,
     ComplexMatrix,
@@ -107,10 +107,6 @@ class QuantumParams:
         return self.lam_set[0] if self.degree == 1 else None
 
 
-class _NotFinite(ValueError):
-    """A projector whose square leaves binary64: out-of-range input, not a failed check."""
-
-
 def validate(design: QuantumDesign, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
     """Check p = p^dagger = p^2 for every family member, with residuals.
 
@@ -124,7 +120,7 @@ def validate(design: QuantumDesign, tol: Tolerance = DEFAULT_TOL) -> ValidationR
         with np.errstate(over="ignore", invalid="ignore"):
             a_sq = a @ a
         if not np.isfinite(a_sq).all():
-            raise _NotFinite(f"projector {i}: p p is not finite; its largest |entry| is "
+            raise ValueError(f"projector {i}: p p is not finite; its largest |entry| is "
                              f"{float(np.abs(a).max())!r}")
         herm = float(np.abs(a - a_h).max())
         idem = float(np.abs(a_sq - a).max())
@@ -141,7 +137,7 @@ def _require_projectors(design: QuantumDesign, tol: Tolerance) -> None:
     rep = validate(design, tol)
     if not rep.ok:
         bad = [c.index for c in rep.checks if not c.ok]
-        raise ValueError(f"not a projector family: indices {bad} fail validation")
+        raise CheckFailed(f"not a projector family: indices {bad} fail validation")
 
 
 def _cluster(values: list[float], threshold: float) -> list[list[float]]:
@@ -160,7 +156,7 @@ def classify_quantum(design: QuantumDesign, tol: Tolerance = DEFAULT_TOL) -> Qua
     """Read off (r, k, degree, lam_set, commutative) from a projector family.
 
     commutative is decided by the joint-eigenbasis proof that to_classical
-    runs, so the two always agree.  Raises ValueError when the family fails
+    runs, so the two always agree.  Raises CheckFailed when the family fails
     projector validation or a pairwise trace comes out non-real far beyond
     tolerance.
     """
@@ -192,7 +188,7 @@ def _classify_projectors(design: QuantumDesign, tol: Tolerance) -> QuantumParams
     if not_real.any():
         first = int(np.argmax(not_real))
         i, j = int(pairs[0][first]), int(pairs[1][first])
-        raise ValueError(
+        raise CheckFailed(
             f"pairwise trace of projectors {i}, {j} is not real: {complex(z[first])!r}"
         )
     vals = z.real.tolist()
@@ -240,7 +236,7 @@ def check_identities_q(
     return out
 
 
-class _NotCommuting(ValueError):
+class _NotCommuting(CheckFailed):
     """The family has no joint eigenbasis within tolerance."""
 
     def __init__(self) -> None:
@@ -375,7 +371,7 @@ def to_classical(design: QuantumDesign, tol: Tolerance = DEFAULT_TOL) -> Classic
     result is a v x b 0/1 matrix, unique up to column (block) ordering;
     columns come image-first, projector 0 most significant.  A basis counts
     as joint when max_i ||p_i u_j - d_ij u_j||_max <= b * (abs_eps + rel_eps)
-    for every column u_j with pattern d_.j.  Raises ValueError for an invalid
+    for every column u_j with pattern d_.j.  Raises CheckFailed for an invalid
     projector family, and when the family has no joint eigenbasis, i.e. does
     not commute.
     """
@@ -387,7 +383,7 @@ def tensor_q(q1: QuantumDesign, q2: QuantumDesign, tol: Tolerance = DEFAULT_TOL)
     """Kronecker products p_i (x) q_j in lexicographic (i, j) order."""
     for name, q in (("first", q1), ("second", q2)):
         if not validate(q, tol).ok:
-            raise ValueError(f"{name} operand fails projector validation")
+            raise CheckFailed(f"{name} operand fails projector validation")
     projectors = [
         ComplexMatrix(np.kron(p.a, q.a))
         for p, q in itertools.product(q1.projectors, q2.projectors)

@@ -3,11 +3,19 @@ import json
 import time
 import warnings
 
+import numpy as np
 import pytest
 
+import designkit
 from designkit import cli, cpmaps, quantum
-from designkit.catalog import canonical_json, catalog_text, dumps, loads
-from designkit.classical import ClassicalDesign, gen_projective_plane, verify_hom
+from designkit.catalog import FormatError, canonical_json, catalog_text, dumps, loads
+from designkit.classical import (
+    CheckFailed,
+    ClassicalDesign,
+    InfeasibleParametersError,
+    gen_projective_plane,
+    verify_hom,
+)
 from designkit.cli import main
 from designkit.cpmaps import Algebra, CpMap
 from designkit.linalg import ComplexMatrix, NatMatrix
@@ -311,6 +319,43 @@ def test_convert_c2q_refuses_multiplicities(tmp_path, capsys):
     code, out, err = run(capsys, "convert", "c2q", path)
     assert code == 1
     assert "to_block" in err
+
+
+def test_a_failed_check_exits_1_under_every_command(tmp_path, capsys):
+    # Projector 0 is idempotent but not Hermitian.
+    family = QuantumDesign((ComplexMatrix([[1, 1], [0, 0]]), ComplexMatrix([[0, 0], [0, 1]])))
+    path = write(tmp_path, "skew.json", dumps(family))
+    code, out, _ = run(capsys, "verify-quantum", path, "--json")
+    assert code == 1
+    assert [c["passed"] for c in json.loads(out)["checks"]] == [False, True]
+    assert run(capsys, "convert", "q2c", path) == (
+        1, "", "error: not a projector family: indices [0] fail validation\n")
+    assert run(capsys, "tensor", path, path) == (
+        1, "", "error: first operand fails projector validation\n")
+
+
+def test_convert_q2c_refuses_a_non_commuting_family_with_exit_1(tmp_path, capsys):
+    path = write(tmp_path, "mub.json", catalog_text("mub-2-2"))
+    assert run(capsys, "convert", "q2c", path) == (
+        1, "", "error: projectors do not pairwise commute; no joint eigenbasis\n")
+
+
+def test_a_linalg_error_is_refused_input_not_a_failed_trace_check(tmp_path, capsys, monkeypatch):
+    def diverge(design, tol):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(quantum, "_joint_patterns", diverge)
+    path = write(tmp_path, "mub.json", catalog_text("mub-2-2"))
+    assert run(capsys, "verify-quantum", path, "--json") == (
+        2, "", "error: Eigenvalues did not converge\n")
+
+
+def test_check_failed_is_the_one_failed_check_type():
+    assert issubclass(CheckFailed, ValueError)
+    assert issubclass(InfeasibleParametersError, CheckFailed)
+    assert issubclass(quantum._NotCommuting, CheckFailed)
+    assert designkit.CheckFailed is CheckFailed
+    assert not issubclass(FormatError, CheckFailed)
 
 
 def test_tensor_classical_designs(fano_file, tmp_path, capsys):
@@ -618,6 +663,12 @@ def test_catalog_unknown_name_is_usage_error(capsys):
     assert code == 2
     assert "unknown catalog entry" in err
     assert "fano" in err  # lists what is available
+
+
+def test_catalog_unknown_name_keeps_its_error_line(capsys):
+    assert run(capsys, "catalog", "nope") == (
+        2, "", "error: unknown catalog entry 'nope' (available: complete-3-2, cp-k2r2, "
+               "fano, mub-2-2, mub-3-4, pg2-3, pg2-5)\n")
 
 
 def test_missing_input_file_is_usage_error(capsys):

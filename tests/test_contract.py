@@ -1,8 +1,9 @@
-"""The exit-code contract of the CLI on classical documents with edge entries.
+"""The exit-code contract of the CLI, request by request, on edge-valued documents.
 
-Every request ends in exit 0 (checks pass), 1 (checks fail) or 2 (refused,
-with an empty stdout and one ``error:`` line on stderr), never in an escaped
-exception, and the same argv gives the same bytes every time.
+Every request ends in exit 0 (checks pass), 1 (checks fail) or 2 (refused),
+never in an escaped exception, and the same argv gives the same bytes every
+time.  A request that writes nothing to stdout and exits 1 or 2 writes one
+``error:`` line to stderr; exit 2 always leaves stdout empty.
 """
 
 import pytest
@@ -10,6 +11,9 @@ import pytest
 from designkit.catalog import dumps
 from designkit.classical import ClassicalDesign
 from designkit.cli import main
+from designkit.cpmaps import Algebra, CpMap
+from designkit.linalg import ComplexMatrix
+from designkit.quantum import QuantumDesign
 
 ENTRIES = {
     "0": 0,
@@ -19,6 +23,16 @@ ENTRIES = {
     "2^63-1": 2**63 - 1,
     "2^63+1": 2**63 + 1,
     "10^400": 10**400,
+}
+
+FLOATS = {
+    "0": 0.0,
+    "1": 1.0,
+    "-0.0": -0.0,
+    "5e-324": 5e-324,
+    "1e200": 1e200,
+    "1e308": 1e308,
+    "-1e308": -1e308,
 }
 
 # Each request reads the documents named in its argv: "square" is [[e, 1], [1, e]],
@@ -34,6 +48,43 @@ REQUESTS = {
     "hom-check-merge": ["hom-check", "row", "one", "--fv", "0", "--fb", "0 0", "--json"],
 }
 
+# Quantum documents: "q1" is the family [[e]]; "q2" is diag(e, 0) and diag(0, 1);
+# "q2-imag" is diag(1, 0) and [[0, i e], [-i e, 1]].  Maps: "c1" and "m1" are
+# [[e]] on Commutative(1) and Matrix(1); "c2" and "m2" are the identity on
+# Commutative(2) and Matrix(2) with e at its first corner and at the end of its
+# first row.
+QUANTUM = ["q1", "q2", "q2-imag"]
+MAPS = ["c1", "c2", "m1", "m2"]
+FLOAT_REQUESTS = {
+    **{f"verify-quantum-{q}": ["verify-quantum", q, "--json"] for q in QUANTUM},
+    **{f"verify-quantum-text-{q}": ["verify-quantum", q] for q in QUANTUM},
+    **{f"convert-q2c-{q}": ["convert", "q2c", q] for q in QUANTUM},
+    **{f"tensor-{q}": ["tensor", q, q] for q in QUANTUM},
+    **{f"verify-cpmap-{f}": ["verify-cpmap", f, "--json"] for f in MAPS},
+    **{f"verify-cpmap-text-{f}": ["verify-cpmap", f] for f in MAPS},
+}
+
+# Requests that read no document.  Each generate kind asks for just past its bound.
+PLAIN_REQUESTS = {
+    "generate-projective-plane-32": ["generate", "projective-plane", "--order", "32"],
+    "generate-complete-19-8": ["generate", "complete", "--v", "19", "--k", "8"],
+    "generate-mub-37-20": ["generate", "mub", "--dim", "37", "--count", "20"],
+    "search-feasible": ["search", "--v", "7", "--b", "7", "--k", "3", "--r", "3",
+                        "--lambda", "1", "--limit", "2", "--json"],
+    "search-feasible-text": ["search", "--v", "7", "--b", "7", "--k", "3", "--r", "3",
+                             "--lambda", "1", "--limit", "2"],
+    "search-infeasible": ["search", "--v", "4", "--b", "4", "--k", "2", "--r", "2",
+                          "--lambda", "1", "--json"],
+    "search-infeasible-text": ["search", "--v", "4", "--b", "4", "--k", "2", "--r", "2",
+                               "--lambda", "1"],
+    "search-oversized-cells": ["search", "--v", "23", "--b", "23", "--k", "11", "--r", "11",
+                               "--lambda", "5", "--limit", "1"],
+    "search-oversized-blocks": ["search", "--v", "2", "--b", "514", "--k", "1", "--r", "257",
+                                "--lambda", "0", "--limit", "1"],
+    "catalog-known": ["catalog", "fano"],
+    "catalog-unknown": ["catalog", "nope"],
+}
+
 
 def documents(e):
     return {
@@ -43,14 +94,32 @@ def documents(e):
     }
 
 
-@pytest.mark.parametrize("entry", list(ENTRIES))
-@pytest.mark.parametrize("request_name", list(REQUESTS))
-def test_classical_requests_keep_the_exit_code_contract(tmp_path, capsys, request_name, entry):
+def float_documents(e):
+    def family(*mats):
+        return QuantumDesign(tuple(ComplexMatrix(m) for m in mats))
+
+    def superop(kind, n, d):
+        m = [[complex(i == j) for j in range(d)] for i in range(d)]
+        m[0][0] = m[0][d - 1] = e
+        return CpMap(Algebra(kind, n), Algebra(kind, n), ComplexMatrix(m))
+
+    return {
+        "q1": family([[e]]),
+        "q2": family([[e, 0], [0, 0]], [[0, 0], [0, 1]]),
+        "q2-imag": family([[1, 0], [0, 0]], [[0, 1j * e], [-1j * e, 1]]),
+        "c1": superop("commutative", 1, 1),
+        "c2": superop("commutative", 2, 2),
+        "m1": superop("matrix", 1, 1),
+        "m2": superop("matrix", 2, 4),
+    }
+
+
+def assert_contract(tmp_path, capsys, docs, argv):
     paths = {}
-    for name, design in documents(ENTRIES[entry]).items():
+    for name, obj in docs.items():
         paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(dumps(design), encoding="utf-8")
-    argv = [str(paths.get(tok, tok)) for tok in REQUESTS[request_name]]
+        paths[name].write_text(dumps(obj), encoding="utf-8")
+    argv = [str(paths.get(tok, tok)) for tok in argv]
     runs = []
     for _ in range(2):
         code = main(argv)  # an exception escaping main fails the test here
@@ -60,5 +129,26 @@ def test_classical_requests_keep_the_exit_code_contract(tmp_path, capsys, reques
     assert code in (0, 1, 2)
     if code == 2:
         assert out == ""
+    if code != 0 and out == "":
         assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+    if code == 0:
+        assert err == ""
     assert runs[1] == runs[0]
+
+
+@pytest.mark.parametrize("entry", list(ENTRIES))
+@pytest.mark.parametrize("request_name", list(REQUESTS))
+def test_classical_requests_keep_the_exit_code_contract(tmp_path, capsys, request_name, entry):
+    assert_contract(tmp_path, capsys, documents(ENTRIES[entry]), REQUESTS[request_name])
+
+
+@pytest.mark.parametrize("entry", list(FLOATS))
+@pytest.mark.parametrize("request_name", list(FLOAT_REQUESTS))
+def test_float_requests_keep_the_exit_code_contract(tmp_path, capsys, request_name, entry):
+    assert_contract(tmp_path, capsys, float_documents(FLOATS[entry]),
+                    FLOAT_REQUESTS[request_name])
+
+
+@pytest.mark.parametrize("request_name", list(PLAIN_REQUESTS))
+def test_requests_without_documents_keep_the_exit_code_contract(tmp_path, capsys, request_name):
+    assert_contract(tmp_path, capsys, {}, PLAIN_REQUESTS[request_name])

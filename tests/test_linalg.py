@@ -188,6 +188,7 @@ def test_transpose_and_adjoint():
     t = transpose(m)
     assert t.tolist() == [[1, 4], [2, 5], [3, 6]]
     assert transpose(t).tolist() == m.tolist()
+    assert np.shares_memory(t.a, m.a)  # a view, not a copy: NatMatrix is immutable
     c = ComplexMatrix([[0, 1j], [0, 0]])
     ca = adjoint(c)
     assert ca.a[1, 0] == -1j and ca.a[0, 1] == 0

@@ -6,8 +6,10 @@ identities, round trips).
 """
 
 import ast
+import bisect
 import itertools
 import math
+import operator
 import sys
 from pathlib import Path
 
@@ -21,6 +23,7 @@ from designkit.classical import (
     DesignParams,
     HomCheck,
     HomPair,
+    _lex_bound,
     check_identities,
     classify,
     compose_hom,
@@ -574,3 +577,41 @@ def test_pruned_search_visits_no_more_nodes_than_its_budget():
     assert _nodes(search_oracle, 7, 7, 3, 3, 1) == 5596  # the counter counts nodes
     for (params, limit), budget in NODE_BUDGET.items():
         assert _nodes(search_designs, *params, limit=limit) <= budget, (params, limit)
+
+
+# The lex bound's table as search_designs built it before it ranked each Gram
+# cell's last subset: one bitmask per k-subset, then suffix unions.
+
+
+def lex_missing_oracle(v, k):
+    """(covered, missing): missing[i] holds the cells no subset at index i or later covers."""
+    cells = []
+    for s in itertools.combinations(range(v), k):
+        points = 0
+        for p in s:
+            points |= 1 << p
+        mask = 0
+        for p in s:
+            mask |= (points >> p << p) << (p * v)  # cells (p, y) for y >= p in s
+        cells.append(mask)
+    suffix = list(itertools.accumulate(reversed(cells), operator.or_))[::-1]
+    return suffix[0], [suffix[0] ^ m for m in suffix]
+
+
+def test_lex_cut_matches_the_bitmask_oracle():
+    rng = np.random.default_rng(20261018)
+    cases = 0
+    for v in range(1, 11):
+        for k in range(1, v + 1):
+            covered, missing = lex_missing_oracle(v, k)
+            got_covered, cut = _lex_bound(v, k)
+            assert got_covered == covered, (v, k)
+            bits = [i for i in range(v * v) if covered >> i & 1]
+            for density in (0.0, 0.05, 0.3, 1.0):
+                need = sum(1 << i for i in bits if rng.random() < density)
+                for start in range(len(missing)):
+                    want = bisect.bisect_left(missing, True, lo=start,
+                                              key=lambda m: bool(need & m))
+                    assert cut(need, start) == want, (v, k, need, start)
+                    cases += 1
+    assert cases >= N_CASES
