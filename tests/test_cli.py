@@ -334,6 +334,28 @@ def test_a_failed_check_exits_1_under_every_command(tmp_path, capsys):
         1, "", "error: first operand fails projector validation\n")
 
 
+def test_convert_c2q_refuses_a_design_without_constant_sums_with_exit_1(tmp_path, capsys):
+    path = write(tmp_path, "irregular.json", dumps(ClassicalDesign.from_rows([[1, 1], [1, 0]])))
+    assert run(capsys, "convert", "c2q", path) == (
+        1, "", "error: not a block design: missing parameters ['k', 'r', 'lambda']\n")
+
+
+def test_verify_quantum_reports_a_non_real_pairwise_trace_as_a_failed_check(tmp_path, capsys):
+    # Under a loose tolerance [[I, X], [0, 0]] and [[0, 0], [Y, I]] pass as
+    # projectors, and Tr(p1 p2) = Tr(X Y) is far from real.
+    p1 = np.zeros((6, 6), dtype=np.complex128)
+    p1[:3, :3], p1[:3, 3:] = np.eye(3), 0.25
+    p2 = np.zeros((6, 6), dtype=np.complex128)
+    p2[3:, 3:], p2[3:, :3] = np.eye(3), 0.25j
+    path = write(tmp_path, "skew.json", dumps(QuantumDesign((ComplexMatrix(p1), ComplexMatrix(p2)))))
+    code, out, err = run(capsys, "verify-quantum", path, "--abs-eps", "0.3", "--rel-eps", "0",
+                         "--json")
+    assert (code, err) == (1, "")
+    check = json.loads(out)["checks"][-1]
+    assert check == {"name": "pairwise traces are real", "passed": False,
+                     "error": "pairwise trace of projectors 0, 1 is not real: 0.5625j"}
+
+
 def test_convert_q2c_refuses_a_non_commuting_family_with_exit_1(tmp_path, capsys):
     path = write(tmp_path, "mub.json", catalog_text("mub-2-2"))
     assert run(capsys, "convert", "q2c", path) == (
@@ -659,13 +681,7 @@ def test_catalog_prints_entry_bytes(tmp_path, capsys):
 
 
 def test_catalog_unknown_name_is_usage_error(capsys):
-    code, _, err = run(capsys, "catalog", "no-such-entry")
-    assert code == 2
-    assert "unknown catalog entry" in err
-    assert "fano" in err  # lists what is available
-
-
-def test_catalog_unknown_name_keeps_its_error_line(capsys):
+    # The line lists what is available.
     assert run(capsys, "catalog", "nope") == (
         2, "", "error: unknown catalog entry 'nope' (available: complete-3-2, cp-k2r2, "
                "fano, mub-2-2, mub-3-4, pg2-3, pg2-5)\n")

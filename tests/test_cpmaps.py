@@ -7,6 +7,7 @@ import pytest
 
 from designkit import cpmaps
 from designkit.classical import (
+    CheckFailed,
     ClassicalDesign,
     HomCheck,
     HomPair,
@@ -281,6 +282,15 @@ def test_functor_q_on_hom_requires_verified_hom():
     broken = HomPair(f_v=tuple(range(7)), f_b=(1, 0, 2, 3, 4, 5, 6))
     with pytest.raises(ValueError):
         functor_q_on_hom(design, design, broken)
+
+
+def test_functor_refusals_are_failed_checks():
+    for rows in ([[2, 0], [0, 2]], [[1, 1], [1, 0]]):
+        with pytest.raises(CheckFailed):
+            functor_q(ClassicalDesign.from_rows(rows))
+    design = gen_projective_plane(2)
+    with pytest.raises(CheckFailed, match="hom square fails"):
+        functor_q_on_hom(design, design, HomPair(f_v=tuple(range(7)), f_b=(1, 0, 2, 3, 4, 5, 6)))
 
 
 def test_functor_q_on_hom_flags_non_injective_block_map():
