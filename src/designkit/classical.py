@@ -15,7 +15,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -79,6 +79,12 @@ class DesignParams:
     r: int | None
     lam: int | None
     symmetric: bool
+
+    @property
+    def missing(self) -> list[str]:
+        """The names among k, r and lambda whose property fails to hold."""
+        return [name for name, val in (("k", self.k), ("r", self.r), ("lambda", self.lam))
+                if val is None]
 
 
 @dataclass(frozen=True)
@@ -153,29 +159,28 @@ def classify(design: ClassicalDesign) -> DesignParams:
     return DesignParams(k=k, r=r, lam=lam, symmetric=design.v == design.b)
 
 
-def check_identities(v: int, b: int, params: DesignParams) -> list[IdentityCheck]:
+def check_identities(
+    v: int,
+    b: int,
+    k: float | None,
+    r: float | None,
+    lam: float | None = None,
+    equal: Callable[[float, float], bool] = operator.eq,
+) -> list[IdentityCheck]:
     """Evaluate the counting identities b*k = r*v and lambda*(v-1) = r*(k-1).
 
-    Both sides are exact integers.  k and r must be present; the balance
-    identity is only emitted when lam is present.
+    The identities are the same in every model; only equality differs.  The
+    default ``equal`` is exact, for integer (classical) parameters; pass
+    ``Tolerance.close`` for real (quantum) ones.  k and r must be present;
+    the balance identity is only emitted when lam is present.
     """
-    if params.k is None or params.r is None:
+    if k is None or r is None:
         raise ValueError("check_identities needs both k and r classified")
-    out = [
-        IdentityCheck(
-            name="b*k = r*v",
-            lhs=b * params.k,
-            rhs=params.r * v,
-            passed=b * params.k == params.r * v,
-        )
-    ]
-    if params.lam is not None:
-        lhs = params.lam * (v - 1)
-        rhs = params.r * (params.k - 1)
-        out.append(
-            IdentityCheck(name="lambda*(v-1) = r*(k-1)", lhs=lhs, rhs=rhs, passed=lhs == rhs)
-        )
-    return out
+    sides = [("b*k = r*v", b * k, r * v)]
+    if lam is not None:
+        sides.append(("lambda*(v-1) = r*(k-1)", lam * (v - 1), r * (k - 1)))
+    return [IdentityCheck(name=name, lhs=lhs, rhs=rhs, passed=equal(lhs, rhs))
+            for name, lhs, rhs in sides]
 
 
 def to_block(design: ClassicalDesign) -> ClassicalDesign:
@@ -302,15 +307,13 @@ def _search_feasible(v: int, b: int, k: int, r: int, lam: int) -> None:
         raise ValueError("parameters must satisfy v, b >= 1 and k, r, lambda >= 0")
     if k > v:
         raise ValueError(f"block size k={k} exceeds point count v={v}")
-    if b * k != r * v:
-        raise InfeasibleParametersError(
-            f"infeasible: b*k = {b * k} differs from r*v = {r * v}"
-        )
-    if v >= 2 and lam * (v - 1) != r * (k - 1):
-        raise InfeasibleParametersError(
-            f"infeasible: lambda*(v-1) = {lam * (v - 1)} differs from "
-            f"r*(k-1) = {r * (k - 1)}"
-        )
+    # At v = 1, k <= v and b*k = r*v force the balance identity to hold.
+    for idc in check_identities(v, b, k, r, lam):
+        if not idc.passed:
+            left, right = idc.name.split(" = ")
+            raise InfeasibleParametersError(
+                f"infeasible: {left} = {idc.lhs} differs from {right} = {idc.rhs}"
+            )
 
 
 def _lex_bound(v: int, k: int):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import operator
 import sys
 
 from . import __version__
@@ -57,7 +58,6 @@ from .quantum import (
     QuantumDesign,
     _classify_projectors,
     _mub_design,
-    check_identities_q,
     mub_generate,
     tensor_q,
     to_classical,
@@ -128,6 +128,15 @@ def _emit(args, command: str, digest: str, subject: dict, parameters: dict,
     return EXIT_OK if passed else EXIT_FAIL
 
 
+def _identity_checks(checks: list[dict], notes: list[str], v, b, k, r, lam, equal) -> None:
+    """Append the counting-identity checks under ``equal``, or the note that they were skipped."""
+    if k is None or r is None:
+        notes.append("counting identities skipped: k or r not classified")
+        return
+    for idc in check_identities(v, b, k, r, lam, equal):
+        checks.append(_check(idc.name, idc.passed, lhs=idc.lhs, rhs=idc.rhs))
+
+
 def _load_as(text: str, want, what: str):
     obj = loads(text)
     if not isinstance(obj, want):
@@ -142,16 +151,10 @@ def cmd_verify_classical(args) -> int:
     checks: list[dict] = []
     notes: list[str] = []
     if args.block:
-        missing = [n for n, val in (("k", params.k), ("r", params.r), ("lambda", params.lam))
-                   if val is None]
-        checks.append(
-            _check("block-design parameters present", not missing, missing=missing)
-        )
-    if params.k is not None and params.r is not None:
-        for idc in check_identities(design.v, design.b, params):
-            checks.append(_check(idc.name, idc.passed, lhs=idc.lhs, rhs=idc.rhs))
-    else:
-        notes.append("counting identities skipped: k or r not classified")
+        missing = params.missing
+        checks.append(_check("block-design parameters present", not missing, missing=missing))
+    _identity_checks(checks, notes, design.v, design.b, params.k, params.r, params.lam,
+                     operator.eq)
     return _emit(
         args,
         "verify-classical",
@@ -196,11 +199,10 @@ def cmd_verify_quantum(args) -> int:
                     "commutative": params.commutative,
                 }
             )
-            if params.k is not None and params.r is not None:
-                for idc in check_identities_q(design.v, design.b, params, args.tol):
-                    checks.append(_check(idc.name, idc.passed, lhs=idc.lhs, rhs=idc.rhs))
-            else:
-                notes.append("counting identities skipped: k or r not classified")
+            # A float r keeps r*v a float, as the real-valued reading of the family.
+            r = None if params.r is None else float(params.r)
+            _identity_checks(checks, notes, design.v, design.b, params.k, r, params.lam,
+                             args.tol.close)
     return _emit(
         args,
         "verify-quantum",

@@ -263,12 +263,7 @@ def functor_q(design: ClassicalDesign) -> QuantumDesign:
             "incidence matrix has entries > 1; apply to_block first "
             "(parameters will change)"
         )
-    params = classify(design)
-    missing = [
-        name
-        for name, val in (("k", params.k), ("r", params.r), ("lambda", params.lam))
-        if val is None
-    ]
+    missing = classify(design).missing
     if missing:
         raise CheckFailed(f"not a block design: missing parameters {missing}")
     rows = design.chi.tolist()
@@ -385,15 +380,16 @@ def verify_cp_design(f: CpMap, tol: Tolerance = DEFAULT_TOL) -> CpDesignReport:
     with np.errstate(over="ignore", invalid="ignore"):
         row = w_out.conj() @ m
         col = m @ w_in
-    if not (np.isfinite(row).all() and np.isfinite(col).all()):
-        # A unit sum beyond binary64 needs an entry whose square is beyond it too.
+        k_est = complex(row @ w_in) / f.in_alg.n
+        r_est = complex(w_out.conj() @ col) / f.out_alg.n
+        unif_res = float(np.abs(row - k_est * w_in.conj()).max())
+        reg_res = float(np.abs(col - r_est * w_out).max())
+    # Every unit sum enters its total and its residual.  A sum, total or residual
+    # beyond binary64 needs an entry whose square is beyond it too.
+    if not np.isfinite([k_est, r_est, unif_res, reg_res]).all():
         _gram(m)
-    k_est = complex(row @ w_in) / f.in_alg.n
-    unif_res = float(np.abs(row - k_est * w_in.conj()).max())
     unif_slack = tol.abs_eps + tol.rel_eps * max(1.0, float(np.abs(row).max(initial=0.0)))
     k_ok = unif_res <= unif_slack and abs(k_est.imag) <= unif_slack
-    r_est = complex(w_out.conj() @ col) / f.out_alg.n
-    reg_res = float(np.abs(col - r_est * w_out).max())
     reg_slack = tol.abs_eps + tol.rel_eps * max(1.0, float(np.abs(col).max(initial=0.0)))
     r_ok = reg_res <= reg_slack and abs(r_est.imag) <= reg_slack
     lam = None

@@ -3,10 +3,10 @@
 A quantum design on a b-dimensional space is an ordered family of v complex
 b x b orthogonal projectors.  This module validates projector families,
 classifies the analogue parameters (r = common trace, k = sum coefficient,
-degree = number of distinct pairwise trace values, commutativity), checks the
-real-valued counting identities, tensors designs, recovers an incidence
-matrix from a commuting family via a common eigenbasis, and builds/verifies
-mutually unbiased bases in prime dimension.
+degree = number of distinct pairwise trace values, commutativity), tensors
+designs, recovers an incidence matrix from a commuting family via a common
+eigenbasis, and builds/verifies mutually unbiased bases in prime dimension.
+Its counting identities are classical.check_identities under Tolerance.close.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import _COMPLETE_MAX_CELLS, CheckFailed, ClassicalDesign, IdentityCheck, _is_prime
+from .classical import _COMPLETE_MAX_CELLS, CheckFailed, ClassicalDesign, _is_prime
 from .linalg import (
     DEFAULT_TOL,
     ComplexMatrix,
@@ -35,7 +35,6 @@ __all__ = [
     "MubReport",
     "validate",
     "classify_quantum",
-    "check_identities_q",
     "to_classical",
     "tensor_q",
     "mub_generate",
@@ -204,36 +203,6 @@ def _classify_projectors(design: QuantumDesign, tol: Tolerance) -> QuantumParams
     return QuantumParams(
         r=r, k=k, degree=len(lam_set), lam_set=lam_set, commutative=commutative
     )
-
-
-def check_identities_q(
-    v: int, b: int, params: QuantumParams, tol: Tolerance = DEFAULT_TOL
-) -> list[IdentityCheck]:
-    """Real-valued counting identities, compared with tolerance.
-
-    Emits b*k = r*v always (k and r must be classified); emits
-    lambda*(v-1) = r*(k-1) only when the family has degree 1.
-    """
-    if params.k is None or params.r is None:
-        raise ValueError("check_identities_q needs both k and r classified")
-    lhs1 = b * params.k
-    rhs1 = float(params.r * v)
-    out = [
-        IdentityCheck(name="b*k = r*v", lhs=lhs1, rhs=rhs1, passed=tol.close(lhs1, rhs1))
-    ]
-    if params.degree == 1:
-        lam = params.lam_set[0]
-        lhs2 = lam * (v - 1)
-        rhs2 = params.r * (params.k - 1)
-        out.append(
-            IdentityCheck(
-                name="lambda*(v-1) = r*(k-1)",
-                lhs=lhs2,
-                rhs=rhs2,
-                passed=tol.close(lhs2, rhs2),
-            )
-        )
-    return out
 
 
 class _NotCommuting(CheckFailed):
@@ -490,7 +459,7 @@ def mub_verify(family: MubFamily, tol: Tolerance = DEFAULT_TOL) -> MubReport:
     p = x x^dagger obeys Tr(p_i^a p_j^b) = 1/d for a != b, delta_ij for
     a = b; the projectors sum to k * identity; and the resulting design
     classifies with r = 1, degree 2 (1 when k = 1) and trace values inside
-    {0, 1/d}.  All outcomes land in the report; nothing raises on failure.
+    {0, 1/d}.  All outcomes land in the report; a failed check never raises.
     """
     d = family.d
     k = family.k
@@ -517,7 +486,7 @@ def mub_verify(family: MubFamily, tol: Tolerance = DEFAULT_TOL) -> MubReport:
     params: QuantumParams | None
     try:
         params = classify_quantum(design, tol)
-    except ValueError:
+    except CheckFailed:
         params = None
     expected_degree = 1 if k == 1 else 2
     classification_ok = (

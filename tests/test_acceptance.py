@@ -39,7 +39,6 @@ from designkit.cpmaps import (
 from designkit.linalg import ComplexMatrix, Tolerance
 from designkit.quantum import (
     QuantumDesign,
-    check_identities_q,
     classify_quantum,
     mub_generate,
     mub_verify,
@@ -74,7 +73,7 @@ def test_criterion_1_fano_round_trip():
         assert (fano.v, fano.b) == (7, 7)
         assert (params.k, params.r, params.lam) == (3, 3, 1)
         assert params.symmetric
-        checks = check_identities(fano.v, fano.b, params)
+        checks = check_identities(fano.v, fano.b, params.k, params.r, params.lam)
         assert len(checks) == 2
         for chk in checks:
             assert chk.passed and chk.lhs == chk.rhs
@@ -106,7 +105,8 @@ def test_criterion_2_diagonal_functor_fidelity():
             assert params.degree == 1
             assert abs(params.lam - 1.0) <= 1e-9
             assert params.commutative
-            for chk in check_identities_q(family.v, family.b, params, tol):
+            for chk in check_identities(family.v, family.b, params.k, float(params.r),
+                                        params.lam, tol.close):
                 assert chk.passed and abs(chk.lhs - chk.rhs) <= 1e-9
             recovered = to_classical(family, tol)
             assert _sorted_columns(recovered) == _sorted_columns(fano)
@@ -150,7 +150,8 @@ def test_criterion_4_mutually_unbiased_bases():
             want = [0.0, 1.0 / d]
             assert len(got) == 2
             assert all(abs(g - w) <= 1e-9 for g, w in zip(got, want))
-            eq = check_identities_q(rep.design.v, rep.design.b, params)[0]
+            eq = check_identities(rep.design.v, rep.design.b, params.k, float(params.r),
+                                  params.lam, Tolerance().close)[0]
             assert eq.name == "b*k = r*v" and eq.passed
             assert rep.classification_ok
 

@@ -100,7 +100,8 @@ def test_classify_multiplicity_diagonal_breaks_balance():
 
 
 def test_check_identities_fano():
-    checks = check_identities(7, 7, classify(fano()))
+    p = classify(fano())
+    checks = check_identities(7, 7, p.k, p.r, p.lam)
     assert [(c.name, c.lhs, c.rhs, c.passed) for c in checks] == [
         ("b*k = r*v", 21, 21, True),
         ("lambda*(v-1) = r*(k-1)", 6, 6, True),
@@ -108,18 +109,14 @@ def test_check_identities_fano():
 
 
 def test_check_identities_detects_violation():
-    from designkit.classical import DesignParams
-
-    checks = check_identities(4, 4, DesignParams(k=2, r=2, lam=1, symmetric=True))
+    checks = check_identities(4, 4, 2, 2, 1)
     assert checks[0].passed  # 8 = 8
     assert not checks[1].passed  # 3 != 2
 
 
 def test_check_identities_requires_k_and_r():
-    from designkit.classical import DesignParams
-
     with pytest.raises(ValueError):
-        check_identities(3, 3, DesignParams(k=None, r=1, lam=None, symmetric=True))
+        check_identities(3, 3, None, 1)
 
 
 def test_to_block_thresholds_and_is_idempotent():
@@ -232,7 +229,7 @@ def test_projective_plane_parameters():
         p = classify(d)
         assert (d.v, d.b) == (n, n)
         assert (p.k, p.r, p.lam, p.symmetric) == (order + 1, order + 1, 1, True)
-        for c in check_identities(d.v, d.b, p):
+        for c in check_identities(d.v, d.b, p.k, p.r, p.lam):
             assert c.passed
 
 

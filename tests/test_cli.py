@@ -107,6 +107,14 @@ def test_verify_quantum_mub_passes(tmp_path, capsys):
     assert "lambda*(v-1) = r*(k-1)" not in names  # degree 2: balance does not apply
 
 
+def test_verify_quantum_reads_both_identity_sides_as_reals(tmp_path, capsys):
+    # r is an integer trace, but r*v is read in the reals: 4.0, not 4.
+    path = write(tmp_path, "mub.json", catalog_text("mub-2-2"))
+    code, out, _ = run(capsys, "verify-quantum", path)
+    assert code == 0
+    assert out.endswith("  [pass] b*k = r*v  {'lhs': 4.0, 'rhs': 4.0}\n")
+
+
 def test_verify_quantum_rejects_corrupted_projector(tmp_path, capsys):
     doc = json.loads(catalog_text("mub-2-2"))
     doc["projectors"][0][0][0] = [0.7, 0.0]  # no longer idempotent

@@ -52,9 +52,10 @@ REQUESTS = {
 # "q2-imag" is diag(1, 0) and [[0, i e], [-i e, 1]].  Maps: "c1" and "m1" are
 # [[e]] on Commutative(1) and Matrix(1); "c2" and "m2" are the identity on
 # Commutative(2) and Matrix(2) with e at its first corner and at the end of its
-# first row.
+# first row; "c2-diag" and "m2-diag" have e at both diagonal corners instead,
+# so that every unit sum is e and the total of them overflows first.
 QUANTUM = ["q1", "q2", "q2-imag"]
-MAPS = ["c1", "c2", "m1", "m2"]
+MAPS = ["c1", "c2", "c2-diag", "m1", "m2", "m2-diag"]
 FLOAT_REQUESTS = {
     **{f"verify-quantum-{q}": ["verify-quantum", q, "--json"] for q in QUANTUM},
     **{f"verify-quantum-text-{q}": ["verify-quantum", q] for q in QUANTUM},
@@ -98,19 +99,22 @@ def float_documents(e):
     def family(*mats):
         return QuantumDesign(tuple(ComplexMatrix(m) for m in mats))
 
-    def superop(kind, n, d):
+    def superop(kind, n, d, *cells):
         m = [[complex(i == j) for j in range(d)] for i in range(d)]
-        m[0][0] = m[0][d - 1] = e
+        for i, j in cells:
+            m[i][j] = e
         return CpMap(Algebra(kind, n), Algebra(kind, n), ComplexMatrix(m))
 
     return {
         "q1": family([[e]]),
         "q2": family([[e, 0], [0, 0]], [[0, 0], [0, 1]]),
         "q2-imag": family([[1, 0], [0, 0]], [[0, 1j * e], [-1j * e, 1]]),
-        "c1": superop("commutative", 1, 1),
-        "c2": superop("commutative", 2, 2),
-        "m1": superop("matrix", 1, 1),
-        "m2": superop("matrix", 2, 4),
+        "c1": superop("commutative", 1, 1, (0, 0)),
+        "c2": superop("commutative", 2, 2, (0, 0), (0, 1)),
+        "c2-diag": superop("commutative", 2, 2, (0, 0), (1, 1)),
+        "m1": superop("matrix", 1, 1, (0, 0)),
+        "m2": superop("matrix", 2, 4, (0, 0), (0, 3)),
+        "m2-diag": superop("matrix", 2, 4, (0, 0), (3, 3)),
     }
 
 

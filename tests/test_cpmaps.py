@@ -473,6 +473,24 @@ def test_verify_cp_design_reports_absent_constants():
     assert not rep.lam_balanced
 
 
+@pytest.mark.parametrize("in_alg, out_alg, m", [
+    # Every unit sum is finite; their total overflows.
+    (Algebra.commutative(2), Algebra.commutative(2), np.diag([1e308, 1e308])),
+    (Algebra.matrix(2), Algebra.matrix(2), np.diag([1e308, 1.0, 1.0, 1e308])),
+    # Every unit sum and both totals are finite, r is absent, and the
+    # uniformity residual overflows.
+    (Algebra.commutative(3), Algebra.commutative(2),
+     np.array([[1.7e308, -1.7e308, 1.7e308], [0.0, 0.0, 1.0]])),
+], ids=["commutative-total", "matrix-total", "commutative-residual"])
+def test_verify_cp_design_refuses_a_reading_beyond_binary64(in_alg, out_alg, m):
+    f = CpMap(in_alg, out_alg, ComplexMatrix(m))
+    top = float(np.abs(m).max())
+    with pytest.raises(ValueError) as err:
+        verify_cp_design(f)
+    assert str(err.value) == (
+        f"m m^dagger is not finite; the largest |entry| of the map is {top!r}")
+
+
 def test_trace_preservation_matches_unit_uniformity():
     # k = 1 in the uniformity report iff the map is trace-preserving
     cases = [

@@ -23,7 +23,10 @@ from designkit.classical import (
     DesignParams,
     HomCheck,
     HomPair,
+    IdentityCheck,
+    InfeasibleParametersError,
     _lex_bound,
+    _search_feasible,
     check_identities,
     classify,
     compose_hom,
@@ -36,10 +39,18 @@ from designkit.classical import (
     verify_hom,
 )
 from designkit.cpmaps import Algebra, CpMap, functor_q
-from designkit.linalg import DEFAULT_TOL, ComplexMatrix, NatMatrix, kron, mat_mul, transpose
+from designkit.linalg import (
+    DEFAULT_TOL,
+    ComplexMatrix,
+    NatMatrix,
+    Tolerance,
+    kron,
+    mat_mul,
+    transpose,
+)
 from designkit.quantum import (
     QuantumDesign,
-    check_identities_q,
+    QuantumParams,
     classify_quantum,
     mub_generate,
     mub_verify,
@@ -82,7 +93,7 @@ def test_counting_identities_hold_on_generated_designs_and_their_closures():
             design = tensor(design, pool[rng.integers(len(pool))])
         params = classify(design)
         assert params.k is not None and params.r is not None
-        for check in check_identities(design.v, design.b, params):
+        for check in check_identities(design.v, design.b, params.k, params.r, params.lam):
             assert check.passed, (check.name, check.lhs, check.rhs)
             assert check.lhs == check.rhs  # exact integers
 
@@ -104,7 +115,8 @@ def test_quantum_identities_hold_on_diagonal_images_of_block_designs():
         assert params.r == src.r
         assert params.k is not None and DEFAULT_TOL.close(params.k, float(src.k))
         assert params.degree == 1
-        for check in check_identities_q(q.v, q.b, params):
+        for check in check_identities(q.v, q.b, params.k, float(params.r), params.lam,
+                                      DEFAULT_TOL.close):
             assert check.passed, (check.name, check.lhs, check.rhs)
 
 
@@ -615,3 +627,151 @@ def test_lex_cut_matches_the_bitmask_oracle():
                     assert cut(need, start) == want, (v, k, need, start)
                     cases += 1
     assert cases >= N_CASES
+
+
+def check_identities_oracle(v, b, params):
+    """The classical counting identities as first written: exact integers."""
+    if params.k is None or params.r is None:
+        raise ValueError("check_identities needs both k and r classified")
+    out = [
+        IdentityCheck(
+            name="b*k = r*v",
+            lhs=b * params.k,
+            rhs=params.r * v,
+            passed=b * params.k == params.r * v,
+        )
+    ]
+    if params.lam is not None:
+        lhs = params.lam * (v - 1)
+        rhs = params.r * (params.k - 1)
+        out.append(
+            IdentityCheck(name="lambda*(v-1) = r*(k-1)", lhs=lhs, rhs=rhs, passed=lhs == rhs)
+        )
+    return out
+
+
+def check_identities_q_oracle(v, b, params, tol=DEFAULT_TOL):
+    """The quantum counting identities as first written, compared with tolerance."""
+    if params.k is None or params.r is None:
+        raise ValueError("check_identities_q needs both k and r classified")
+    lhs1 = b * params.k
+    rhs1 = float(params.r * v)
+    out = [
+        IdentityCheck(name="b*k = r*v", lhs=lhs1, rhs=rhs1, passed=tol.close(lhs1, rhs1))
+    ]
+    if params.degree == 1:
+        lam = params.lam_set[0]
+        lhs2 = lam * (v - 1)
+        rhs2 = params.r * (params.k - 1)
+        out.append(
+            IdentityCheck(
+                name="lambda*(v-1) = r*(k-1)",
+                lhs=lhs2,
+                rhs=rhs2,
+                passed=tol.close(lhs2, rhs2),
+            )
+        )
+    return out
+
+
+def search_feasible_oracle(v, b, k, r, lam):
+    """The search precheck as first written."""
+    if v < 1 or b < 1 or k < 0 or r < 0 or lam < 0:
+        raise ValueError("parameters must satisfy v, b >= 1 and k, r, lambda >= 0")
+    if k > v:
+        raise ValueError(f"block size k={k} exceeds point count v={v}")
+    if b * k != r * v:
+        raise InfeasibleParametersError(
+            f"infeasible: b*k = {b * k} differs from r*v = {r * v}"
+        )
+    if v >= 2 and lam * (v - 1) != r * (k - 1):
+        raise InfeasibleParametersError(
+            f"infeasible: lambda*(v-1) = {lam * (v - 1)} differs from "
+            f"r*(k-1) = {r * (k - 1)}"
+        )
+
+
+def _outcome(call, *args):
+    """(name, lhs, type, rhs, type, passed) per check, or the exception's type and text."""
+    try:
+        got = call(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    if got is None:
+        return None
+    return [(c.name, c.lhs, type(c.lhs), c.rhs, type(c.rhs), c.passed) for c in got]
+
+
+EDGES = [0, 1, 2, 2**63 + 1, 10**400]
+
+
+def _draw(rng, low=0):
+    if rng.integers(3) == 0:
+        return EDGES[rng.integers(low, len(EDGES))]
+    return int(rng.integers(low, 12))
+
+
+def _consistent(rng):
+    """(v, b, k, r, lam) with b*k = r*v, and with both identities at v = 2."""
+    k, t = _draw(rng), _draw(rng)
+    v = 2 if rng.integers(2) else _draw(rng, low=1)
+    return v, v * t, k, k * t, k * t * (k - 1) if v == 2 else _draw(rng)
+
+
+def test_one_check_identities_matches_the_classical_and_search_oracles():
+    rng = np.random.default_rng(131313)
+    seen = set()
+    for case in range(4 * N_CASES):
+        if case % 2:
+            v, b, k, r, lam = _consistent(rng)
+        else:
+            v, b, k, r, lam = _draw(rng, low=1), _draw(rng, low=1), _draw(rng), _draw(rng), _draw(rng)
+        if case < 8:  # v = 1 and k = 0 come first, whatever the draws
+            v, k = (1, k) if case < 4 else (v, 0)
+        for given in (lam, None):
+            params = DesignParams(k=k, r=r, lam=given, symmetric=v == b)
+            want = _outcome(check_identities_oracle, v, b, params)
+            assert _outcome(check_identities, v, b, k, r, given) == want, (v, b, k, r, given)
+            assert all(row[2] is int and row[4] is int for row in want)
+            seen.update(row[5] for row in want)
+        want = _outcome(search_feasible_oracle, v, b, k, r, lam)
+        assert _outcome(_search_feasible, v, b, k, r, lam) == want, (v, b, k, r, lam)
+        seen.add(want[0] if want else None)
+    assert {True, False, None, InfeasibleParametersError, ValueError} <= seen
+    for k, r in ((None, 1), (1, None)):
+        params = DesignParams(k=k, r=r, lam=1, symmetric=True)
+        assert _outcome(check_identities, 3, 3, k, r, 1) == _outcome(
+            check_identities_oracle, 3, 3, params)
+
+
+def test_one_check_identities_matches_the_quantum_oracle():
+    # v and b count projectors and dimensions, so they stay small; r, k and the
+    # trace values range up to the edges, where both sides overflow alike.
+    rng = np.random.default_rng(424242)
+    seen = set()
+    for case in range(2 * N_CASES):
+        v, b = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+        r = _draw(rng)
+        consistent = case % 2 and r < 2**63
+        k = r * v / b if consistent else float(rng.integers(0, 12)) + rng.random()
+        degree = int(rng.integers(3))
+        lam_set = tuple(sorted(float(x) for x in rng.integers(0, 4, size=degree)))
+        if consistent and degree == 1 and v > 1:
+            lam_set = (r * (k - 1) / (v - 1),)
+        tol = Tolerance(abs_eps=0.5, rel_eps=0.0) if case % 4 == 3 else DEFAULT_TOL
+        params = QuantumParams(r=r, k=k, degree=degree, lam_set=lam_set, commutative=True)
+        want = _outcome(check_identities_q_oracle, v, b, params, tol)
+        got = _outcome(lambda: check_identities(v, b, params.k, float(params.r), params.lam,
+                                                tol.close))
+        assert got == want, (v, b, params, tol)
+        if isinstance(want, list):
+            assert all(row[2] is float and row[4] is float for row in want)
+            seen.update(row[5] for row in want)
+        else:
+            seen.add(want[0])
+    assert {True, False, OverflowError} <= seen
+    params = QuantumParams(r=None, k=1.0, degree=1, lam_set=(0.0,), commutative=True)
+    with pytest.raises(ValueError, match="needs both k and r classified"):
+        check_identities_q_oracle(2, 2, params)
+    with pytest.raises(ValueError, match="needs both k and r classified"):
+        check_identities(2, 2, params.k, params.r, params.lam, DEFAULT_TOL.close)

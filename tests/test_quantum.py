@@ -6,7 +6,7 @@ import pytest
 
 from designkit import quantum
 from designkit.catalog import dumps
-from designkit.classical import ClassicalDesign, gen_complete, gen_projective_plane
+from designkit.classical import ClassicalDesign, check_identities, gen_complete, gen_projective_plane
 from designkit.cli import main
 from designkit.cpmaps import functor_q
 from designkit.linalg import DEFAULT_TOL, ComplexMatrix, NatMatrix, Tolerance, split_by_projector
@@ -14,7 +14,6 @@ from designkit.quantum import (
     MubFamily,
     QuantumDesign,
     QuantumParams,
-    check_identities_q,
     classify_quantum,
     mub_generate,
     mub_verify,
@@ -170,7 +169,8 @@ def test_classify_quantum_single_projector_degree_zero():
 def test_check_identities_q_functor_image():
     design = functor_q(gen_projective_plane(2))
     params = classify_quantum(design)
-    checks = check_identities_q(design.v, design.b, params)
+    checks = check_identities(design.v, design.b, params.k, float(params.r), params.lam,
+                              DEFAULT_TOL.close)
     assert [c.name for c in checks] == ["b*k = r*v", "lambda*(v-1) = r*(k-1)"]
     assert all(c.passed for c in checks)
     assert checks[0].lhs == pytest.approx(21.0, abs=1e-9)
@@ -179,21 +179,21 @@ def test_check_identities_q_functor_image():
 
 def test_check_identities_q_detects_violation():
     params = QuantumParams(r=2, k=2.0, degree=1, lam_set=(1.0,), commutative=True)
-    checks = check_identities_q(4, 4, params)
+    checks = check_identities(4, 4, params.k, float(params.r), params.lam, DEFAULT_TOL.close)
     assert checks[0].passed  # 8 = 8
     assert not checks[1].passed  # 3 != 2
 
 
 def test_check_identities_q_skips_balance_for_degree_two():
     params = QuantumParams(r=1, k=2.0, degree=2, lam_set=(0.0, 0.5), commutative=False)
-    checks = check_identities_q(4, 2, params)
+    checks = check_identities(4, 2, params.k, float(params.r), params.lam, DEFAULT_TOL.close)
     assert [c.name for c in checks] == ["b*k = r*v"]
 
 
 def test_check_identities_q_requires_classified_k_r():
     params = QuantumParams(r=None, k=1.0, degree=1, lam_set=(0.0,), commutative=True)
     with pytest.raises(ValueError):
-        check_identities_q(2, 2, params)
+        check_identities(2, 2, params.k, params.r, params.lam, DEFAULT_TOL.close)
 
 
 def test_to_classical_recovers_functor_image_up_to_column_order():
@@ -668,6 +668,16 @@ def test_mub_verify_rejects_non_orthonormal_basis():
     assert not rep.ok
     assert not rep.orthonormal
     assert rep.basis_residuals[1] == pytest.approx(3.0)
+
+
+def test_mub_verify_lets_a_linalg_error_escape(monkeypatch):
+    # A failed eigh is refused input, not a failed classification.
+    def diverge(design, tol):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(quantum, "_joint_patterns", diverge)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        mub_verify(mub_generate(2, 2))
 
 
 def test_mub_family_shape_validation():
