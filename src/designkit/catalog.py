@@ -19,6 +19,8 @@ matrix is walked entry by entry, to find the position of its first fault.
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import math
 from importlib import resources
@@ -174,7 +176,7 @@ def quantum_to_doc(design: QuantumDesign) -> dict:
     return {
         "schema": SCHEMA_QUANTUM,
         "dim": design.b,
-        "projectors": [_complex_matrix_doc(p.a) for p in design.projectors],
+        "projectors": [_complex_matrix_doc(p) for p in design._stack],
     }
 
 
@@ -185,11 +187,15 @@ def quantum_from_doc(doc: dict) -> QuantumDesign:
     _require(dim >= 1, "dim must be >= 1")
     raw = _get(doc, "projectors", "document")
     _require(isinstance(raw, list) and len(raw) >= 1, "projectors: expected a nonempty list")
-    projectors = tuple(
-        ComplexMatrix(_complex_rows(p, dim, dim, f"projectors[{i}]"))
-        for i, p in enumerate(raw)
-    )
-    return QuantumDesign(projectors=projectors)
+    # A short document must not allocate a stack it does not hold: shape first.
+    rows = _entries(raw, len(raw), dim)
+    if rows is None or not _only(rows, list) or set(map(len, rows)) != {dim}:
+        for i, p in enumerate(raw):
+            _complex_rows(p, dim, dim, f"projectors[{i}]")
+    stack = np.empty((len(raw), dim, dim), dtype=np.complex128)
+    for i, p in enumerate(raw):
+        stack[i] = _complex_rows(p, dim, dim, f"projectors[{i}]")
+    return QuantumDesign._from_stack(stack)
 
 
 def _algebra_to_doc(alg: Algebra) -> dict:
@@ -227,6 +233,22 @@ def cpmap_from_doc(doc: dict) -> CpMap:
     return CpMap(in_alg=in_alg, out_alg=out_alg, m=ComplexMatrix(m))
 
 
+def _collector_paused(fn):
+    # Document trees are acyclic, so collections while one is built or walked free nothing;
+    # the collector resumes once fn has returned, when the tree is gone and none need scan it.
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
+
+
+@_collector_paused
 def dumps(obj) -> str:
     """Canonical document text for a design or map object."""
     if isinstance(obj, ClassicalDesign):
@@ -238,6 +260,7 @@ def dumps(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+@_collector_paused
 def loads(text: str):
     """Parse a document, dispatching on its schema field."""
     try:

@@ -170,18 +170,13 @@ def cmd_verify_quantum(args) -> int:
     text = _read_text(args.file)
     design = _load_as(text, QuantumDesign, "quantum-design/1")
     rep = validate(design, args.tol)
-    checks: list[dict] = []
+    checks = [
+        _check(f"projector {chk.index} is an orthogonal projector", chk.ok, index=chk.index,
+               hermiticity_residual=chk.hermiticity_residual,
+               idempotency_residual=chk.idempotency_residual)
+        for chk in rep.checks
+    ]
     notes: list[str] = []
-    for chk in rep.checks:
-        checks.append(
-            _check(
-                f"projector {chk.index} is an orthogonal projector",
-                chk.ok,
-                index=chk.index,
-                hermiticity_residual=chk.hermiticity_residual,
-                idempotency_residual=chk.idempotency_residual,
-            )
-        )
     parameters: dict = {"v": design.v, "b": design.b}
     if rep.ok:
         try:

@@ -241,12 +241,8 @@ def classical_to_cp(design: ClassicalDesign) -> CpMap:
 def quantum_design_to_cp(design: QuantumDesign) -> CpMap:
     """Projector family as a map Commutative(v) -> Matrix(b), column i = vec(p_i)."""
     _require_projectors(design, DEFAULT_TOL)
-    cols = np.column_stack([vec(p.a) for p in design.projectors])
-    return CpMap(
-        in_alg=Algebra.commutative(design.v),
-        out_alg=Algebra.matrix(design.b),
-        m=ComplexMatrix(cols),
-    )
+    return CpMap(in_alg=Algebra.commutative(design.v), out_alg=Algebra.matrix(design.b),
+                 m=ComplexMatrix(design._stack.reshape(design.v, -1).T))
 
 
 def functor_q(design: ClassicalDesign) -> QuantumDesign:
@@ -266,11 +262,9 @@ def functor_q(design: ClassicalDesign) -> QuantumDesign:
     missing = classify(design).missing
     if missing:
         raise CheckFailed(f"not a block design: missing parameters {missing}")
-    rows = design.chi.tolist()
-    projectors = tuple(
-        ComplexMatrix(np.diag(np.array(row, dtype=np.complex128))) for row in rows
-    )
-    return QuantumDesign(projectors=projectors)
+    stack = np.zeros((design.v, design.b, design.b), dtype=np.complex128)
+    stack[:, np.arange(design.b), np.arange(design.b)] = design.chi.a
+    return QuantumDesign._from_stack(stack)
 
 
 @dataclass(frozen=True)
@@ -408,6 +402,10 @@ def verify_cp_design(f: CpMap, tol: Tolerance = DEFAULT_TOL) -> CpDesignReport:
             return float(np.abs(base - lam_val * shape).max(initial=fixed))
 
         span = float(np.abs(gram).max(initial=0.0)) + abs(r_est.real) + 1.0
+        bound = float(np.finfo(np.float64).max) / 2.0  # keeps 2 span and residuals finite
+        if not span <= bound:
+            raise ValueError(f"lambda search bound max|m m^dagger| + |r| + 1 = {span!r} "
+                             f"exceeds {bound!r}, half the binary64 range")
         lo, hi = -span, span
         for _ in range(120):
             third = (hi - lo) / 3.0

@@ -197,6 +197,11 @@ class NatMatrix:
         return f"NatMatrix({self.tolist()!r})"
 
 
+def _require_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+
+
 class ComplexMatrix:
     """Dense complex128 matrix; construction rejects non-finite entries."""
 
@@ -206,9 +211,15 @@ class ComplexMatrix:
         a = np.array(entries, dtype=np.complex128)
         if a.ndim != 2 or a.size == 0:
             raise ValueError("matrix must be 2-D with at least one entry")
-        if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
-            raise ValueError("matrix entries must be finite")
+        _require_finite(a)
         self.a = a
+
+    @classmethod
+    def _raw(cls, a: np.ndarray) -> "ComplexMatrix":
+        # Internal: wrap a 2-D complex128 array of finite entries without a copy.
+        m = object.__new__(cls)
+        m.a = a
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "ComplexMatrix":

@@ -11,7 +11,6 @@ Its counting identities are classical.check_identities under Tolerance.close.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,6 +22,7 @@ from .linalg import (
     ComplexMatrix,
     NatMatrix,
     Tolerance,
+    _require_finite,
     split_by_projector,
 )
 
@@ -44,28 +44,40 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuantumDesign:
-    """Ordered family of square complex matrices meant to be projectors."""
+    """Ordered family of b x b complex matrices meant to be projectors, views of one array:
+    ``_stack``, C-contiguous (v, b, b) complex128."""
 
     projectors: tuple[ComplexMatrix, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "projectors", tuple(self.projectors))
-        if not self.projectors:
+        projectors = tuple(self.projectors)
+        if not projectors:
             raise ValueError("a quantum design needs at least one projector")
-        b = self.projectors[0].rows
-        for i, p in enumerate(self.projectors):
+        b = projectors[0].rows
+        for i, p in enumerate(projectors):
             if p.rows != p.cols or p.rows != b:
-                raise ValueError(
-                    f"projector {i} is {p.rows}x{p.cols}, expected {b}x{b}"
-                )
+                raise ValueError(f"projector {i} is {p.rows}x{p.cols}, expected {b}x{b}")
+        self._hold(np.stack([p.a for p in projectors]))
+
+    @classmethod
+    def _from_stack(cls, stack: np.ndarray) -> "QuantumDesign":
+        # Internal: the family of a fresh (v, b, b) complex128 array, v, b >= 1, uncopied.
+        _require_finite(stack)
+        design = object.__new__(cls)
+        design._hold(np.ascontiguousarray(stack))
+        return design
+
+    def _hold(self, stack: np.ndarray) -> None:
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "projectors", tuple(map(ComplexMatrix._raw, stack)))
 
     @property
     def v(self) -> int:
-        return len(self.projectors)
+        return self._stack.shape[0]
 
     @property
     def b(self) -> int:
-        return self.projectors[0].rows
+        return self._stack.shape[1]
 
 
 @dataclass(frozen=True)
@@ -112,23 +124,22 @@ def validate(design: QuantumDesign, tol: Tolerance = DEFAULT_TOL) -> ValidationR
     Raises ValueError naming the projector and its largest |entry| when p p
     is not finite in binary64.
     """
-    checks = []
-    for i, p in enumerate(design.projectors):
-        a = p.a
-        a_h = a.conj().T
+    checks: list[ProjectorCheck] = []
+    step = _batch_size(design.b)
+    for lo in range(0, design.v, step):
+        a = design._stack[lo : lo + step]
+        a_h = a.conj().swapaxes(1, 2)
         with np.errstate(over="ignore", invalid="ignore"):
             a_sq = a @ a
-        if not np.isfinite(a_sq).all():
-            raise ValueError(f"projector {i}: p p is not finite; its largest |entry| is "
-                             f"{float(np.abs(a).max())!r}")
-        herm = float(np.abs(a - a_h).max())
-        idem = float(np.abs(a_sq - a).max())
-        ok = tol.allclose(a, a_h) and tol.allclose(a_sq, a)
-        checks.append(
-            ProjectorCheck(
-                index=i, hermiticity_residual=herm, idempotency_residual=idem, ok=ok
-            )
-        )
+        finite = np.isfinite(a_sq).all(axis=(1, 2))
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(f"projector {lo + i}: p p is not finite; its largest |entry| is "
+                             f"{float(np.abs(a[i]).max())!r}")
+        herm = np.abs(a - a_h).max(axis=(1, 2)).tolist()
+        idem = np.abs(a_sq - a).max(axis=(1, 2)).tolist()
+        ok = (tol.isclose(a, a_h) & tol.isclose(a_sq, a)).all(axis=(1, 2)).tolist()
+        checks += map(ProjectorCheck, range(lo, lo + len(a)), herm, idem, ok)
     return ValidationReport(checks=tuple(checks), ok=all(c.ok for c in checks))
 
 
@@ -139,15 +150,22 @@ def _require_projectors(design: QuantumDesign, tol: Tolerance) -> None:
         raise CheckFailed(f"not a projector family: indices {bad} fail validation")
 
 
-def _cluster(values: list[float], threshold: float) -> list[list[float]]:
-    # Sorted values join the open cluster while within threshold of its first
-    # value, so no cluster spreads wider than threshold.
+def _cluster(values: np.ndarray, threshold: float) -> list[list[float]]:
+    # Sorted values join the open cluster while x - first <= threshold, so no
+    # cluster spreads wider than threshold.  x - first rises with x, so a cluster
+    # ends where searchsorted puts first + threshold, give or take that sum's rounding.
+    xs = np.sort(values, kind="stable")
     out: list[list[float]] = []
-    for x in sorted(values):
-        if out and x - out[-1][0] <= threshold:
-            out[-1].append(x)
-        else:
-            out.append([x])
+    lo = 0
+    while lo < xs.size:
+        first = xs[lo]
+        hi = int(np.searchsorted(xs, first + threshold, side="right"))
+        while hi < xs.size and xs[hi] - first <= threshold:
+            hi += 1
+        while xs[hi - 1] - first > threshold:
+            hi -= 1
+        out.append(xs[lo:hi].tolist())
+        lo = hi
     return out
 
 
@@ -165,7 +183,7 @@ def classify_quantum(design: QuantumDesign, tol: Tolerance = DEFAULT_TOL) -> Qua
 
 def _classify_projectors(design: QuantumDesign, tol: Tolerance) -> QuantumParams:
     """classify_quantum for a family that has already passed validate."""
-    stack = np.stack([p.a for p in design.projectors])
+    stack = design._stack
     v, b = design.v, design.b
     traces = np.einsum("aii->a", stack)
     r0 = tol.near_int(traces[0])
@@ -190,10 +208,9 @@ def _classify_projectors(design: QuantumDesign, tol: Tolerance) -> QuantumParams
         raise CheckFailed(
             f"pairwise trace of projectors {i}, {j} is not real: {complex(z[first])!r}"
         )
-    vals = z.real.tolist()
-    scale = max((abs(x) for x in vals), default=0.0)
+    scale = float(np.abs(z.real).max(initial=0.0))
     threshold = 10.0 * (tol.abs_eps + tol.rel_eps * scale)
-    clusters = _cluster(vals, threshold)
+    clusters = _cluster(z.real, threshold)
     lam_set = tuple(sum(c) / len(c) for c in clusters)
     try:
         _joint_patterns(design, tol)
@@ -253,17 +270,17 @@ def _joint_patterns(design: QuantumDesign, tol: Tolerance) -> np.ndarray:
     _NotCommuting.
     """
     v, b = design.v, design.b
-    arrays = [p.a for p in design.projectors]
+    stack = design._stack
     c = _weights(v)
     h = np.zeros((b, b), dtype=np.complex128)
-    for weight, a in zip(c, arrays):
+    for weight, a in zip(c, stack):
         h += weight * a
     w, u = np.linalg.eigh(h)
     threshold = b * (tol.abs_eps + tol.rel_eps)
-    pattern, residual = _patterns(arrays, u)
+    pattern, residual = _patterns(stack, u)
     failing = np.flatnonzero(residual > threshold)
     if failing.size:
-        components = _coupled_components(arrays, w, u, failing, float(c.sum()) * threshold,
+        components = _coupled_components(stack, w, u, failing, float(c.sum()) * threshold,
                                          threshold)
         # Each split is held to the residual's own threshold.
         split_tol = Tolerance(abs_eps=threshold, rel_eps=0.0)
@@ -281,22 +298,22 @@ def _joint_patterns(design: QuantumDesign, tol: Tolerance) -> np.ndarray:
                 done += [part[0] for part in parts if len(part) == 1]
             u[:, cols] = np.column_stack(done + [x for vecs in groups for x in vecs])
             refined += cols
-        pattern[:, refined], residual = _patterns(arrays, u[:, refined])
+        pattern[:, refined], residual = _patterns(stack, u[:, refined])
         if not (residual <= threshold).all():
             raise _NotCommuting()
     order = np.lexsort(-pattern[::-1])
     return pattern[:, order].astype(np.int64)
 
 
-def _patterns(arrays: list[np.ndarray], u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _patterns(stack: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # d_ij = rint(Re u_j^dagger p_i u_j) and the column residuals
     # max_i ||p_i u_j - d_ij u_j||_max, infinite where some d_ij is not 0 or 1.
     # One product p_i u per projector, in batches.
     step = _batch_size(u.shape[0])
     rows = []
     residual = np.zeros(u.shape[1])
-    for lo in range(0, len(arrays), step):
-        r = np.stack(arrays[lo : lo + step]) @ u
+    for lo in range(0, len(stack), step):
+        r = stack[lo : lo + step] @ u
         d = np.rint(np.einsum("aj,saj->sj", u.conj(), r).real)
         r -= d[:, np.newaxis, :] * u
         np.maximum(residual, np.abs(r).max(axis=(0, 1)), out=residual)
@@ -307,7 +324,7 @@ def _patterns(arrays: list[np.ndarray], u: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _coupled_components(
-    arrays: list[np.ndarray], w: np.ndarray, u: np.ndarray, failing: np.ndarray,
+    stack: np.ndarray, w: np.ndarray, u: np.ndarray, failing: np.ndarray,
     witness_bound: float, threshold: float,
 ) -> list[list[int]]:
     # Connected components of the graph joining each failing column j to its
@@ -318,8 +335,8 @@ def _coupled_components(
     coupling = np.zeros((u.shape[0], failing.size))
     u_h, u_f = u.conj().T, u[:, failing]
     step = _batch_size(u.shape[0])
-    for lo in range(0, len(arrays), step):
-        m = np.abs(u_h @ np.stack(arrays[lo : lo + step]) @ u_f)
+    for lo in range(0, len(stack), step):
+        m = np.abs(u_h @ stack[lo : lo + step] @ u_f)
         np.maximum(coupling, m.max(axis=0), out=coupling)
     coupling[failing, np.arange(failing.size)] = 0.0
     if not (np.abs(w[:, np.newaxis] - w[failing]) * coupling).max() <= witness_bound:
@@ -353,11 +370,9 @@ def tensor_q(q1: QuantumDesign, q2: QuantumDesign, tol: Tolerance = DEFAULT_TOL)
     for name, q in (("first", q1), ("second", q2)):
         if not validate(q, tol).ok:
             raise CheckFailed(f"{name} operand fails projector validation")
-    projectors = [
-        ComplexMatrix(np.kron(p.a, q.a))
-        for p, q in itertools.product(q1.projectors, q2.projectors)
-    ]
-    return QuantumDesign(projectors=tuple(projectors))
+    s1 = q1._stack[:, np.newaxis, :, np.newaxis, :, np.newaxis]  # p_i[a, d] on axes 0, 2, 4
+    s2 = q2._stack[np.newaxis, :, np.newaxis, :, np.newaxis, :]  # q_j[c, e] on axes 1, 3, 5
+    return QuantumDesign._from_stack((s1 * s2).reshape(q1.v * q2.v, q1.b * q2.b, -1))
 
 
 @dataclass(frozen=True)
@@ -446,10 +461,8 @@ _MUB_FAILURE_CAP = 20
 
 def _mub_design(family: MubFamily) -> QuantumDesign:
     """The projectors x x^dagger onto every basis vector, basis by basis."""
-    vectors = np.column_stack([m.a for m in family.bases])
-    return QuantumDesign(projectors=tuple(
-        ComplexMatrix(np.outer(x, x.conj())) for x in vectors.T
-    ))
+    x = np.concatenate([m.a.T for m in family.bases])
+    return QuantumDesign._from_stack(x[:, :, np.newaxis] * x.conj()[:, np.newaxis, :])
 
 
 def mub_verify(family: MubFamily, tol: Tolerance = DEFAULT_TOL) -> MubReport:

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -204,6 +205,78 @@ def test_catalog_cp_entry_is_the_exact_example_matrix():
 def test_dumps_rejects_unknown_objects():
     with pytest.raises(TypeError):
         dumps(42)
+
+
+def test_quantum_parse_allocates_nothing_for_a_short_document():
+    # dim * dim * v entries that the document does not hold are never
+    # allocated: the first misshapen projector is refused by position.
+    doc = {"schema": "quantum-design/1", "dim": 10**6, "projectors": [[]] * 10**6}
+    with pytest.raises(FormatError, match=r"^projectors\[0\]: expected 1000000 rows, got 0$"):
+        quantum_from_doc(doc)
+    good = quantum_to_doc(QuantumDesign((ComplexMatrix.identity(2),)))["projectors"][0]
+    bad_entry = [[[1.0, 0.0], [0.0, "x"]], [[0.0, 0.0], [1.0, 0.0]]]
+    doc = {"schema": "quantum-design/1", "dim": 2, "projectors": [good, bad_entry, 7]}
+    with pytest.raises(FormatError, match=r"^projectors\[1\]\[0\]\[1\]\[1\]: expected a number"):
+        quantum_from_doc(doc)
+
+
+def test_loaded_projectors_are_views_into_one_array():
+    design = loads(dumps(mub_verify(mub_generate(3, 4)).design))
+    assert design._stack.shape == (12, 3, 3) and design._stack.flags["C_CONTIGUOUS"]
+    assert all(np.shares_memory(p.a, design._stack) for p in design.projectors)
+
+
+COLLECTOR_CALLS = {
+    "loads": lambda: loads(dumps(gen_projective_plane(2))),
+    "loads-invalid-json": lambda: loads("{not json"),
+    "loads-bad-entry": lambda: loads('{"schema":"classical-design/1","v":1,"b":1,'
+                                     '"incidence":[[-1]]}'),
+    "dumps": lambda: dumps(mub_verify(mub_generate(3, 4)).design),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("call", list(COLLECTOR_CALLS))
+def test_codec_pauses_the_cycle_collector_and_restores_its_state(monkeypatch, call, enabled):
+    # The parse and the render each run with the collector off.
+    seen = []
+    for owner, name in ((catalog.json, "loads"), (catalog, "canonical_json")):
+        def spy(text, real=getattr(owner, name)):
+            seen.append(gc.isenabled())
+            return real(text)
+        monkeypatch.setattr(owner, name, spy)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            COLLECTOR_CALLS[call]()
+        except FormatError:
+            assert call.startswith("loads-")
+        else:
+            assert not call.startswith("loads-")
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen and not any(seen)
+
+
+def test_loads_leaves_no_collection_over_the_tree_behind():
+    # 56 projectors of 7 x 7 [re, im] lists are far past the 700 allocations that
+    # start a collection; the tree is freed before the collector resumes, so the
+    # parse runs none at all, not even one over the whole tree as it re-enables.
+    text = dumps(mub_verify(mub_generate(7, 8)).design)
+    events = []
+
+    def record(phase, info):
+        events.append((phase, info["generation"]))
+
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        design = loads(text)
+    finally:
+        gc.callbacks.remove(record)
+    assert design.v == 56 and events == []
 
 
 # --- The per-entry walk that parsed every matrix before the bulk parser ---

@@ -6,6 +6,8 @@ time.  A request that writes nothing to stdout and exits 1 or 2 writes one
 ``error:`` line to stderr; exit 2 always leaves stdout empty.
 """
 
+import warnings
+
 import pytest
 
 from designkit.catalog import dumps
@@ -30,6 +32,7 @@ FLOATS = {
     "1": 1.0,
     "-0.0": -0.0,
     "5e-324": 5e-324,
+    "1e154": 1e154,
     "1e200": 1e200,
     "1e308": 1e308,
     "-1e308": -1e308,
@@ -156,3 +159,21 @@ def test_float_requests_keep_the_exit_code_contract(tmp_path, capsys, request_na
 @pytest.mark.parametrize("request_name", list(PLAIN_REQUESTS))
 def test_requests_without_documents_keep_the_exit_code_contract(tmp_path, capsys, request_name):
     assert_contract(tmp_path, capsys, {}, PLAIN_REQUESTS[request_name])
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+@pytest.mark.parametrize("name", ["c1", "c2-diag"])
+def test_lambda_search_refuses_a_bracket_beyond_binary64(tmp_path, capsys, name, mode):
+    # [[1e154]] on Commutative(1) and diag(1e154, 1e154) on Commutative(2) are
+    # regular with r = 1e154, and max|m m^dagger| = 1e308 puts the search's
+    # bracket width 2e308 beyond binary64: exit 2 naming the bound, with no
+    # NaN and no numpy warning.
+    path = tmp_path / f"{name}.json"
+    path.write_text(dumps(float_documents(1e154)[name]), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify-cpmap", str(path), *mode])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == ("error: lambda search bound max|m m^dagger| + |r| + 1 = 1e+308 "
+                            "exceeds 8.988465674311579e+307, half the binary64 range\n")

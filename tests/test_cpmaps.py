@@ -491,6 +491,21 @@ def test_verify_cp_design_refuses_a_reading_beyond_binary64(in_alg, out_alg, m):
         f"m m^dagger is not finite; the largest |entry| of the map is {top!r}")
 
 
+@pytest.mark.parametrize("x, refused", [(9.4e153, False), (9.49e153, True), (1e154, True)])
+def test_lambda_search_runs_exactly_while_its_bracket_fits_binary64(x, refused):
+    # diag(x, x) on Commutative(2) is regular with r = x, and the bracket is
+    # x^2 + x + 1: 8.8e307 fits under half the binary64 range, 9.0e307 does not.
+    f = CpMap(Algebra.commutative(2), Algebra.commutative(2), ComplexMatrix(np.diag([x, x])))
+    if refused:
+        with pytest.raises(ValueError, match="half the binary64 range"):
+            verify_cp_design(f)
+        return
+    rep = verify_cp_design(f)
+    assert rep.r == x
+    assert np.isfinite([rep.lam, rep.lam_residual]).all()
+    assert rep.lam_residual == abs(x * x - x)
+
+
 def test_trace_preservation_matches_unit_uniformity():
     # k = 1 in the uniformity report iff the map is trace-preserving
     cases = [

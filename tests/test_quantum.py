@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import numpy as np
@@ -519,6 +520,163 @@ def test_cluster_spread_never_exceeds_threshold():
     assert len(clusters) > 1
     assert all(c[-1] - c[0] <= 1e-8 for c in clusters)
     assert sorted(x for c in clusters for x in c) == values
+
+
+def _validate_loop(design, tol=DEFAULT_TOL):
+    # validate one projector at a time, as it was before the family became one array.
+    checks = []
+    for i, p in enumerate(design.projectors):
+        a = p.a
+        a_h = a.conj().T
+        with np.errstate(over="ignore", invalid="ignore"):
+            a_sq = a @ a
+        if not np.isfinite(a_sq).all():
+            raise ValueError(f"projector {i}: p p is not finite; its largest |entry| is "
+                             f"{float(np.abs(a).max())!r}")
+        herm = float(np.abs(a - a_h).max())
+        idem = float(np.abs(a_sq - a).max())
+        ok = tol.allclose(a, a_h) and tol.allclose(a_sq, a)
+        checks.append(quantum.ProjectorCheck(
+            index=i, hermiticity_residual=herm, idempotency_residual=idem, ok=ok))
+    return quantum.ValidationReport(checks=tuple(checks), ok=all(c.ok for c in checks))
+
+
+def _cluster_sequential(values, threshold):
+    # _cluster as it was before searchsorted: one Python comparison per value.
+    out = []
+    for x in sorted(values):
+        if out and x - out[-1][0] <= threshold:
+            out[-1].append(x)
+        else:
+            out.append([x])
+    return out
+
+
+def _bits(report):
+    return [(c.index, c.hermiticity_residual.hex(), c.idempotency_residual.hex(), c.ok)
+            for c in report.checks], report.ok
+
+
+def test_batched_validate_matches_the_loop_oracle_bit_for_bit():
+    # Families up to b = 70 span several batches (_batch_size(70) = 6).
+    rng = np.random.default_rng(1401)
+    for trial in range(60):
+        b = int(rng.choice([1, 2, 5, 9, 33, 70]))
+        v = int(rng.integers(1, min(3 * quantum._batch_size(b) + 2, 100)))
+        u = random_unitary(b, trial)
+        stack = []
+        for _ in range(v):
+            p = u @ np.diag(rng.integers(0, 2, size=b)).astype(np.complex128) @ u.conj().T
+            if rng.random() < 0.3:
+                p = p + 10.0 ** rng.integers(-16, 0) * rng.standard_normal((b, b))
+            stack.append(ComplexMatrix(p))
+        design = QuantumDesign(tuple(stack))
+        tol = Tolerance(abs_eps=10.0 ** rng.integers(-15, -6), rel_eps=1e-9)
+        assert _bits(validate(design, tol)) == _bits(_validate_loop(design, tol))
+
+
+@pytest.mark.parametrize("b, bad", [(2, 1), (2, 5), (64, 3), (64, 9), (64, 17)])
+def test_batched_validate_names_the_same_non_finite_projector(b, bad):
+    # _batch_size(64) = 8, so indices 9 and 17 sit in later batches.
+    eye = np.eye(b, dtype=np.complex128)
+    stack = [ComplexMatrix(eye) for _ in range(20)]
+    stack[bad] = ComplexMatrix(np.full((b, b), 1e200 * (1 + 1j)))
+    stack[bad + 1] = ComplexMatrix(np.full((b, b), 1e300))
+    design = QuantumDesign(tuple(stack))
+    with pytest.raises(ValueError) as got:
+        validate(design)
+    with pytest.raises(ValueError) as want:
+        _validate_loop(design)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(f"projector {bad}: p p is not finite")
+
+
+def test_cluster_matches_the_sequential_oracle_on_seeded_values():
+    # Values sit a few ulps either side of first + j * threshold, so that
+    # x - first lands on the threshold and first + threshold rounds both ways;
+    # x - first is inexact when first and x differ in sign or magnitude.
+    rng = np.random.default_rng(1402)
+    rounded_up = rounded_down = 0
+    for trial in range(400):
+        threshold = 0.0 if trial % 10 == 0 else float(10.0 ** rng.uniform(-9, 2))
+        first = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 2))
+        values = []
+        for j in rng.integers(0, 4, size=int(rng.integers(0, 30))).tolist():
+            x = first + j * threshold
+            k = int(rng.integers(-2, 3))
+            for _ in range(abs(k)):
+                x = float(np.nextafter(x, math.copysign(math.inf, k)))
+            values.append(x)
+        edge = first + threshold
+        rounded_up += any(x <= edge and x - first > threshold for x in values)
+        rounded_down += any(x > edge and x - first <= threshold for x in values)
+        got = quantum._cluster(np.array(values), threshold)
+        want = _cluster_sequential(values, threshold)
+        assert [[x.hex() for x in c] for c in got] == [[x.hex() for x in c] for c in want]
+        assert [sum(c) / len(c) for c in got] == [sum(c) / len(c) for c in want]
+    assert rounded_up and rounded_down  # both corrections to searchsorted ran
+
+
+def test_cluster_keeps_a_value_exactly_at_the_threshold():
+    # 0.3 - 0.1 is 0.19999999999999998 and joins 0.1 under threshold 0.2, while
+    # 0.30000000000000004 - 0.1 is 0.20000000000000004 and does not, although
+    # 0.1 + 0.2 rounds to 0.30000000000000004 itself.
+    values = np.array([0.1, 0.3, 0.30000000000000004, 0.5])
+    assert quantum._cluster(values, 0.2) == [[0.1, 0.3], [0.30000000000000004, 0.5]]
+    assert quantum._cluster(values, 0.2) == _cluster_sequential(values.tolist(), 0.2)
+    assert quantum._cluster(np.array([1.0, 2.0, 3.0]), 1.0) == [[1.0, 2.0], [3.0]]
+
+
+def test_cluster_and_classify_of_one_projector_have_no_pairs():
+    assert quantum._cluster(np.empty(0), 1e-8) == _cluster_sequential([], 1e-8) == []
+    params = classify_quantum(QuantumDesign((ComplexMatrix([[1.0]]),)))
+    assert (params.degree, params.lam_set) == (0, ())
+
+
+def test_projectors_are_views_into_one_family_array():
+    eye = np.eye(3, dtype=np.complex128)
+    given = tuple(ComplexMatrix(np.outer(eye[i], eye[i])) for i in range(3))
+    design = QuantumDesign(projectors=given)
+    stack = design._stack
+    assert stack.shape == (3, 3, 3) and stack.flags["C_CONTIGUOUS"]
+    assert design.projectors == given and design == QuantumDesign(projectors=given)
+    assert all(np.shares_memory(p.a, stack) for p in design.projectors)
+    built = [functor_q(gen_projective_plane(2)), mub_verify(mub_generate(3, 4)).design,
+             tensor_q(basis_projectors(2), basis_projectors(3))]
+    for design in built:
+        assert design._stack.flags["C_CONTIGUOUS"]
+        assert all(np.shares_memory(p.a, design._stack) for p in design.projectors)
+
+
+def test_family_builders_match_their_per_projector_oracles_bit_for_bit():
+    # functor_q, _mub_design and tensor_q fill the family array in one operation
+    # each; their oracles build one projector at a time.
+    for order in (2, 3, 5):
+        design = gen_projective_plane(order)
+        want = [np.diag(np.array(row, dtype=np.complex128)) for row in design.chi.tolist()]
+        assert [p.a.tobytes() for p in functor_q(design).projectors] == \
+            [a.tobytes() for a in want]
+    for d, k in ((2, 3), (5, 6), (13, 14)):
+        family = mub_generate(d, k)
+        vectors = np.column_stack([m.a for m in family.bases])
+        want = [np.outer(x, x.conj()) for x in vectors.T]
+        assert [p.a.tobytes() for p in quantum._mub_design(family).projectors] == \
+            [a.tobytes() for a in want]
+    rng = np.random.default_rng(1403)
+    for trial in range(12):
+        q1 = conjugate(functor_q(gen_projective_plane(2)), random_unitary(7, trial))
+        n = int(rng.integers(1, 4))
+        q2 = conjugate(basis_projectors(n), random_unitary(n, trial))
+        want = [np.kron(p.a, q.a) for p in q1.projectors for q in q2.projectors]
+        assert [p.a.tobytes() for p in tensor_q(q1, q2).projectors] == \
+            [a.tobytes() for a in want]
+
+
+def test_mub_design_keeps_the_finiteness_refusal():
+    # x x^dagger overflows here as np.outer did, warning included.
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        quantum._mub_design(MubFamily((ComplexMatrix([[1e200]]),)))
 
 
 def test_tensor_q_parameters_multiply():
