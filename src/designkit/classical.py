@@ -143,7 +143,8 @@ def classify(design: ClassicalDesign) -> DesignParams:
     """Read off (k, r, lambda, symmetric) from the incidence matrix.
 
     Exact integer arithmetic throughout; any property that does not hold
-    exactly yields None for its parameter.
+    exactly yields None for its parameter.  Balance is read off the v x v
+    Gram matrix only when b >= v, so that it costs no more than chi itself.
     """
     col = design.chi.col_sums()
     k = col[0] if all(s == col[0] for s in col) else None
@@ -151,11 +152,17 @@ def classify(design: ClassicalDesign) -> DesignParams:
     r = row[0] if all(s == row[0] for s in row) else None
     lam = None
     if k is not None and r is not None and design.v >= 2:
-        g = _mat_mul(design.chi, _transpose(design.chi)).a
-        if (np.diagonal(g) == r).all():
-            off = g[~np.eye(design.v, dtype=bool)]
-            if (off == off[0]).all():
-                lam = int(off[0])
+        if design.b < design.v:
+            # Fisher's inequality: lam < r makes chi chi^T of rank v > b.  By Cauchy-
+            # Schwarz, lam >= r needs equal rows, whose diagonal is r iff they are 0/1.
+            if design.is_zero_one and (design.chi.a == design.chi.a[0]).all():
+                lam = r
+        else:
+            g = _mat_mul(design.chi, _transpose(design.chi)).a
+            if (np.diagonal(g) == r).all():
+                off = g[~np.eye(design.v, dtype=bool)]
+                if (off == off[0]).all():
+                    lam = int(off[0])
     return DesignParams(k=k, r=r, lam=lam, symmetric=design.v == design.b)
 
 
@@ -230,6 +237,7 @@ def compose_hom(first: HomPair, second: HomPair) -> HomPair:
 
 def tensor(d1: ClassicalDesign, d2: ClassicalDesign) -> ClassicalDesign:
     """Kronecker product of incidence matrices; points and blocks multiply."""
+    _check_size(d1.v * d2.v * d1.b * d2.b, "v1*v2*b1*b2", "incidence cells")
     return ClassicalDesign(_kron(d1.chi, d2.chi))
 
 
@@ -244,13 +252,19 @@ def _is_prime(n: int) -> bool:
     return all(n % p for p in range(2, int(math.isqrt(n)) + 1))
 
 
-# Largest incidence matrix, in cells, that a generator builds or search_designs
-# draws its candidate columns from; quantum.mub_generate bounds its projector
-# entries by it too.
+# Largest incidence matrix, in cells, that a generator, tensor or search_designs
+# builds or draws its candidate columns from; quantum.mub_generate and
+# quantum.tensor_q bound their projector entries by it too.
 _COMPLETE_MAX_CELLS = 10**6
 # Most blocks search_designs places: it recurses once per block, and this
 # stays well under CPython's default limit of 1000 frames.
 _SEARCH_MAX_BLOCKS = 512
+
+
+def _check_size(size: int, formula: str, unit: str) -> None:
+    """Refuse to build more than _COMPLETE_MAX_CELLS cells or entries."""
+    if size > _COMPLETE_MAX_CELLS:
+        raise ValueError(f"{formula} = {size} exceeds the limit of {_COMPLETE_MAX_CELLS} {unit}")
 
 
 def gen_projective_plane(order: int) -> ClassicalDesign:
@@ -363,82 +377,75 @@ def search_designs(
     nondecreasing (repeated blocks stay allowed), which picks one
     representative per column ordering.  Raises InfeasibleParametersError
     when the counting identities already rule the parameters out, and
-    ValueError when the candidate columns, the incidence matrix of
-    gen_complete(v, k), would exceed _COMPLETE_MAX_CELLS, or when a search
-    with k >= 1 would place more than _SEARCH_MAX_BLOCKS blocks.  ``limit``
-    caps the number of returned designs; None means exhaustive.
+    ValueError when the candidate columns (the incidence matrix of
+    gen_complete(v, k)) or the all-zero design of k = 0 would exceed
+    _COMPLETE_MAX_CELLS, or when a search with k >= 1 would place more than
+    _SEARCH_MAX_BLOCKS blocks.  ``limit`` caps the number of returned
+    designs; None means exhaustive.
 
-    A node is cut only when its subtree holds no design, so the designs come
-    out in plain depth-first order whatever the bounds cut:
+    One symmetric v x v table, row-major, holds what chi chi^T still lacks:
+    left[x*v + y] = d(x, y), for the Gram cell that bit x*v + y of need
+    stands for; r on the diagonal and lam off it at the root.  A node is cut
+    only when its subtree holds no design, so the designs come out in plain
+    depth-first order whatever the bounds cut:
 
-    - row bound: a point's deficit r - row_cnt[x] is at most the blocks left;
-    - pair bound: lam - pair_cnt[x][y] <= r - row_cnt[x], since every later
-      block through {x, y} passes through x;
+    - pair bound: d(x, y) <= d(x, x), since every later block through
+      {x, y} passes through x;
     - lex bound (canonical_only): every point and pair with a deficit lies in
       some k-subset at or after the last column placed.
+
+    A point needs no bound of its own.  The pair bound holds at every node:
+    at the root since lam*(v-1) = r*(k-1) and k <= v give lam <= r, and a
+    block moves only its own points' rows, which pairs_bounded checks.  By
+    the identities the precheck proved, (k-1)*d(x, x) = sum_(y != x) d(y, x)
+    <= sum_(y != x) d(y, y) = k*(b - depth) - d(x, x): d(x, x) <= b - depth.
     """
     _search_feasible(v, b, k, r, lam)
     _check_complete_size(v, k)
     if limit is not None and limit <= 0:
         return []
     if k == 0:
-        # Only the all-zero design is possible; the prechecks already force
-        # r = 0 and (for v >= 2) lam = 0 here.
+        # Only the all-zero design fits: the prechecks force r = 0, and lam = 0 for v >= 2.
+        _check_size(v * b, "v*b", "incidence cells")
         return [ClassicalDesign(NatMatrix._raw(np.zeros((v, b), dtype=np.int64)))]
     if b > _SEARCH_MAX_BLOCKS:
         raise ValueError(f"b={b} exceeds the search limit of {_SEARCH_MAX_BLOCKS} blocks")
     subsets = list(itertools.combinations(range(v), k))
-    pair_idx = [list(itertools.combinations(s, 2)) for s in subsets]
+    grid = np.fromiter(itertools.chain.from_iterable(subsets), np.intp).reshape(-1, k)
+    i, j = zip(*itertools.combinations_with_replacement(range(k), 2))
+    # Each subset's Gram cells x*v + y with x <= y: its points and its pairs.
+    cells = (grid[:, i] * v + grid[:, j]).tolist()
+    mirror = [y * v + x for x in range(v) for y in range(v)]  # cell (x, y) -> (y, x)
     covered, lex_cut = _lex_bound(v, k)
-    row_cnt = [0] * v
-    # Symmetric pair counts.  The diagonal holds lam, so that min() over a
-    # row reads only the pairs' own deficits.
-    pair_cnt = [[0] * v for _ in range(v)]
-    for x in range(v):
-        pair_cnt[x][x] = lam
+    left = [r if x == y else lam for x in range(v) for y in range(v)]
     chosen: list[int] = []
     found: list[ClassicalDesign] = []
 
     def fits(ci: int) -> bool:
-        for p in subsets[ci]:
-            if row_cnt[p] >= r:
-                return False
-        for (x, y) in pair_idx[ci]:
-            if pair_cnt[x][y] >= lam:
+        for c in cells[ci]:
+            if not left[c]:
                 return False
         return True
 
     def place(ci: int) -> int:
         """Add column ci; return the cells it brings up to their target."""
         filled = 0
-        for p in subsets[ci]:
-            row_cnt[p] += 1
-            if row_cnt[p] == r:
-                filled |= 1 << (p * v + p)
-        for (x, y) in pair_idx[ci]:
-            pair_cnt[x][y] += 1
-            pair_cnt[y][x] += 1
-            if pair_cnt[x][y] == lam:
-                filled |= 1 << (x * v + y)
+        for c in cells[ci]:
+            left[c] = left[mirror[c]] = gap = left[c] - 1
+            if not gap:
+                filled |= 1 << c
         return filled
 
     def unplace(ci: int) -> None:
-        for p in subsets[ci]:
-            row_cnt[p] -= 1
-        for (x, y) in pair_idx[ci]:
-            pair_cnt[x][y] -= 1
-            pair_cnt[y][x] -= 1
+        for c in cells[ci]:
+            left[c] = left[mirror[c]] = left[c] + 1
 
     def pairs_bounded(ci: int) -> bool:
-        # Only the row deficits of ci's points moved, so only their rows can
-        # newly break the pair bound.
-        return all(lam - min(pair_cnt[p]) <= r - row_cnt[p] for p in subsets[ci])
+        return all(max(left[p * v:p * v + v]) <= left[p * v + p] for p in subsets[ci])
 
     def emit() -> None:
-        # No balance check is needed: every column fitted, so each row count
-        # is at most r and each pair count at most lam.  The row counts sum
-        # to b*k = r*v and the pair counts to b*C(k, 2) = lam*C(v, 2), so
-        # every row count is r and every pair count is lam.
+        # No balance check: every column fitted, so left is nonnegative, and it sums
+        # to r*v - b*k = 0 on the diagonal and lam*C(v, 2) - b*C(k, 2) = 0 above it.
         chi = np.zeros((v, b), dtype=np.int64)
         chi[[subsets[ci] for ci in chosen], np.arange(b)[:, np.newaxis]] = 1
         found.append(ClassicalDesign(NatMatrix._raw(chi)))
@@ -448,8 +455,6 @@ def search_designs(
         if depth == b:
             emit()
             return limit is not None and len(found) >= limit
-        if r - min(row_cnt) > b - depth:
-            return False
         if canonical_only:
             # A column at index hi or later leaves a cell of need that no
             # later column covers, so the lex bound cuts it; hi == start
@@ -460,12 +465,9 @@ def search_designs(
         for ci in range(lo, hi):
             if fits(ci):
                 filled = place(ci)
-                if pairs_bounded(ci):
-                    chosen.append(ci)
-                    stop = rec(depth + 1, ci, need ^ filled)
-                    chosen.pop()
-                else:
-                    stop = False
+                chosen.append(ci)
+                stop = pairs_bounded(ci) and rec(depth + 1, ci, need ^ filled)
+                chosen.pop()
                 unplace(ci)
                 if stop:
                     return True

@@ -213,7 +213,7 @@ def is_cp(f: CpMap, tol: Tolerance = DEFAULT_TOL) -> CpCheck:
         raise ValueError("Choi eigenvalues are not finite; the largest |entry| of the map is "
                          f"{top!r}")
     low = float(eigenvalues.min())
-    slack = tol.abs_eps + tol.rel_eps * top
+    slack = tol.slack(top)
     return CpCheck(is_cp=hermitian and low >= -slack, min_eigenvalue=low, hermitian=hermitian)
 
 
@@ -382,9 +382,9 @@ def verify_cp_design(f: CpMap, tol: Tolerance = DEFAULT_TOL) -> CpDesignReport:
     # beyond binary64 needs an entry whose square is beyond it too.
     if not np.isfinite([k_est, r_est, unif_res, reg_res]).all():
         _gram(m)
-    unif_slack = tol.abs_eps + tol.rel_eps * max(1.0, float(np.abs(row).max(initial=0.0)))
+    unif_slack = tol.slack(max(1.0, float(np.abs(row).max(initial=0.0))))
     k_ok = unif_res <= unif_slack and abs(k_est.imag) <= unif_slack
-    reg_slack = tol.abs_eps + tol.rel_eps * max(1.0, float(np.abs(col).max(initial=0.0)))
+    reg_slack = tol.slack(max(1.0, float(np.abs(col).max(initial=0.0))))
     r_ok = reg_res <= reg_slack and abs(r_est.imag) <= reg_slack
     lam = None
     lam_res = None

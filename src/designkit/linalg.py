@@ -50,6 +50,10 @@ class Tolerance:
             raise ValueError(f"tolerance parameters must be finite and nonnegative, got "
                              f"abs_eps={self.abs_eps!r}, rel_eps={self.rel_eps!r}")
 
+    def slack(self, scale):
+        """The allowed gap at magnitude ``scale``: ``abs_eps + rel_eps * scale``."""
+        return self.abs_eps + self.rel_eps * scale
+
     def close(self, x, y) -> bool:
         """Tol-equality for real or complex scalars: :meth:`isclose` of two scalars."""
         return bool(self.isclose(x, y))
@@ -61,7 +65,7 @@ class Tolerance:
         # The slack is inf when an entry is, so the gap must be finite too; a gap
         # between finite entries near 1e308 overflows to inf, which is not close.
         with np.errstate(over="ignore", invalid="ignore"):
-            slack = self.abs_eps + self.rel_eps * np.maximum(np.abs(a), np.abs(b))
+            slack = self.slack(np.maximum(np.abs(a), np.abs(b)))
             d = np.abs(a - b)
         return (d <= slack) & (d < np.inf)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import _COMPLETE_MAX_CELLS, CheckFailed, ClassicalDesign, _is_prime
+from .classical import _COMPLETE_MAX_CELLS, CheckFailed, ClassicalDesign, _check_size, _is_prime
 from .linalg import (
     DEFAULT_TOL,
     ComplexMatrix,
@@ -209,7 +209,7 @@ def _classify_projectors(design: QuantumDesign, tol: Tolerance) -> QuantumParams
             f"pairwise trace of projectors {i}, {j} is not real: {complex(z[first])!r}"
         )
     scale = float(np.abs(z.real).max(initial=0.0))
-    threshold = 10.0 * (tol.abs_eps + tol.rel_eps * scale)
+    threshold = 10.0 * tol.slack(scale)
     clusters = _cluster(z.real, threshold)
     lam_set = tuple(sum(c) / len(c) for c in clusters)
     try:
@@ -276,7 +276,7 @@ def _joint_patterns(design: QuantumDesign, tol: Tolerance) -> np.ndarray:
     for weight, a in zip(c, stack):
         h += weight * a
     w, u = np.linalg.eigh(h)
-    threshold = b * (tol.abs_eps + tol.rel_eps)
+    threshold = b * tol.slack(1.0)
     pattern, residual = _patterns(stack, u)
     failing = np.flatnonzero(residual > threshold)
     if failing.size:
@@ -367,6 +367,7 @@ def to_classical(design: QuantumDesign, tol: Tolerance = DEFAULT_TOL) -> Classic
 
 def tensor_q(q1: QuantumDesign, q2: QuantumDesign, tol: Tolerance = DEFAULT_TOL) -> QuantumDesign:
     """Kronecker products p_i (x) q_j in lexicographic (i, j) order."""
+    _check_size(q1.v * q2.v * (q1.b * q2.b) ** 2, "v1*v2*(b1*b2)^2", "projector entries")
     for name, q in (("first", q1), ("second", q2)):
         if not validate(q, tol).ok:
             raise CheckFailed(f"{name} operand fails projector validation")

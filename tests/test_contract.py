@@ -8,13 +8,14 @@ time.  A request that writes nothing to stdout and exits 1 or 2 writes one
 
 import warnings
 
+import numpy as np
 import pytest
 
 from designkit.catalog import dumps
 from designkit.classical import ClassicalDesign
 from designkit.cli import main
 from designkit.cpmaps import Algebra, CpMap
-from designkit.linalg import ComplexMatrix
+from designkit.linalg import ComplexMatrix, NatMatrix
 from designkit.quantum import QuantumDesign
 
 ENTRIES = {
@@ -90,6 +91,35 @@ PLAIN_REQUESTS = {
 }
 
 
+# Requests past a size bound: each exits 2 naming the bound before it allocates,
+# or prints its report.  "tall" is 100000 x 1 ones, whose v x v Gram matrix would
+# take 74.5 GiB; "big" is 1000 x 1000, whose tensor square has 10^12 cells; "q32"
+# is the identity on C^32, whose tensor square has (32*32)^2 > 10^6 entries.
+SIZE_DOCUMENTS = {
+    "tall": lambda: ClassicalDesign(NatMatrix._raw(np.ones((100000, 1), dtype=np.int64))),
+    "big": lambda: ClassicalDesign(NatMatrix._raw(np.eye(1000, dtype=np.int64))),
+    "q32": lambda: QuantumDesign((ComplexMatrix(np.eye(32)),)),
+}
+SIZE_REQUESTS = {  # name -> (argv, exit code, stderr)
+    "verify-classical-tall": (["verify-classical", "tall", "--json"], 0, ""),
+    "verify-classical-tall-text": (["verify-classical", "tall"], 0, ""),
+    "search-zero-blocks-huge-b": (["search", "--v", "1", "--b", "1000000000000", "--k", "0",
+                                   "--r", "0", "--lambda", "0", "--json"], 2,
+                                  "error: v*b = 1000000000000 exceeds the limit of 1000000 "
+                                  "incidence cells\n"),
+    "search-zero-blocks-wide": (["search", "--v", "2", "--b", "3000000", "--k", "0", "--r", "0",
+                                 "--lambda", "0", "--json"], 2,
+                                "error: v*b = 6000000 exceeds the limit of 1000000 "
+                                "incidence cells\n"),
+    "tensor-oversized": (["tensor", "big", "big"], 2,
+                         "error: v1*v2*b1*b2 = 1000000000000 exceeds the limit of 1000000 "
+                         "incidence cells\n"),
+    "tensor-q-oversized": (["tensor", "q32", "q32"], 2,
+                           "error: v1*v2*(b1*b2)^2 = 1048576 exceeds the limit of 1000000 "
+                           "projector entries\n"),
+}
+
+
 def documents(e):
     return {
         "square": ClassicalDesign.from_rows([[e, 1], [1, e]]),
@@ -141,6 +171,7 @@ def assert_contract(tmp_path, capsys, docs, argv):
     if code == 0:
         assert err == ""
     assert runs[1] == runs[0]
+    return runs[0]
 
 
 @pytest.mark.parametrize("entry", list(ENTRIES))
@@ -159,6 +190,16 @@ def test_float_requests_keep_the_exit_code_contract(tmp_path, capsys, request_na
 @pytest.mark.parametrize("request_name", list(PLAIN_REQUESTS))
 def test_requests_without_documents_keep_the_exit_code_contract(tmp_path, capsys, request_name):
     assert_contract(tmp_path, capsys, {}, PLAIN_REQUESTS[request_name])
+
+
+@pytest.mark.parametrize("request_name", list(SIZE_REQUESTS))
+def test_requests_past_a_size_bound_keep_the_exit_code_contract(tmp_path, capsys, request_name):
+    argv, want_code, want_err = SIZE_REQUESTS[request_name]
+    docs = {name: make() for name, make in SIZE_DOCUMENTS.items() if name in argv}
+    code, out, err = assert_contract(tmp_path, capsys, docs, argv)
+    assert (code, err) == (want_code, want_err)
+    if code == 0:  # all rows equal and 0/1: balanced with lambda = r = 1
+        assert '"lambda":1,' in out or "  lambda = 1\n" in out
 
 
 @pytest.mark.parametrize("mode", [[], ["--json"]])

@@ -82,6 +82,18 @@ def test_tolerance_isclose_is_close_entrywise():
     assert any(want) and not all(want)
 
 
+def test_tolerance_slack_is_the_formula_written_out():
+    # Every check that reads its slack from the method keeps the bits of the
+    # formula it wrote out before, b * (abs_eps + rel_eps) included.
+    scales = [0.0, 1.0, 2.5, 1e-300, 1e300]
+    for tol in (DEFAULT_TOL, Tolerance(abs_eps=0.0, rel_eps=3e-7), Tolerance(1e-3, 0.0),
+                Tolerance(abs_eps=0.1, rel_eps=0.2)):
+        for scale in scales:
+            assert tol.slack(scale) == tol.abs_eps + tol.rel_eps * scale
+        assert tol.slack(1.0) == tol.abs_eps + tol.rel_eps
+        assert tol.slack(np.array(scales)).tolist() == [tol.slack(s) for s in scales]
+
+
 def test_tolerance_near_int():
     assert DEFAULT_TOL.near_int(3.0 + 1e-12) == 3
     assert DEFAULT_TOL.near_int(2.5) is None

@@ -420,6 +420,33 @@ def test_vectorised_classify_and_verify_hom_match_the_loop_oracles():
     assert all(count >= 10 for count in seen.values()), seen
 
 
+def test_classify_reads_balance_of_tall_designs_without_the_gram_matrix():
+    # With b < v, classify decides balance from the rows alone; the oracle
+    # still reads the v x v Gram matrix.
+    rng = np.random.default_rng(16180)
+    seen = {"equal 0/1 rows": 0, "equal rows with a 2": 0, "one cell flipped": 0,
+            "stacked identities": 0, "lam": 0, "no-lam, k and r present": 0}
+    for _ in range(5 * N_CASES):
+        b = int(rng.integers(1, 6))
+        v = int(rng.integers(b + 1, 10))
+        kind = list(seen)[int(rng.integers(4))]
+        chi = np.tile(rng.integers(0, 2, size=b), (v, 1))
+        if kind == "equal rows with a 2":
+            chi[:, rng.integers(b)] = 2
+        elif kind == "one cell flipped":
+            chi[rng.integers(v), rng.integers(b)] ^= 1
+        elif kind == "stacked identities":  # regular and uniform, rows unequal for b >= 2
+            chi = np.eye(b, dtype=np.int64)[rng.integers(0, b, size=v)]
+        design = ClassicalDesign(NatMatrix(chi))
+        params = classify(design)
+        assert params == oracle_classify(design), chi.tolist()
+        seen[kind] += 1
+        seen["lam"] += params.lam is not None
+        seen["no-lam, k and r present"] += (params.lam is None and params.k is not None
+                                            and params.r is not None)
+    assert all(count >= 10 for count in seen.values()), seen
+
+
 # The depth-first search with the row bound alone, kept from before
 # search_designs cut subtrees by its pair and lex-order bounds.
 
@@ -514,8 +541,11 @@ def _search_cases():
     cases = {}
     for v, b, k, r, lam, limit, _found in _benchmark_searches():
         cases.setdefault(((v, b, k, r, lam), True), set()).add(limit)
+    # The last five sit at the edges of the proof that a point's row needs no
+    # bound: k = 1 with no pairs, v = 1, k = v with repeated blocks, repeated pairs.
     for params in ((3, 3, 2, 2, 1), (4, 6, 2, 3, 1), (5, 10, 2, 4, 1), (4, 4, 3, 3, 2),
-                   (9, 12, 3, 4, 1)):
+                   (9, 12, 3, 4, 1), (4, 8, 1, 2, 0), (2, 2, 1, 1, 0), (1, 3, 1, 3, 0),
+                   (3, 4, 3, 4, 4), (3, 6, 2, 4, 2)):
         for canonical in (True, False) if params[1] <= 6 else (True,):
             cases.setdefault((params, canonical), set()).update(LIMITS)
     cases[((7, 14, 3, 6, 2), True)].add(100)
@@ -575,20 +605,29 @@ def _nodes(search, *args, **kwargs):
 
 
 # Nodes that search_designs visited when its bounds were written; the oracle
-# visits 5596, 43488, 258485 and 1400889 on the same searches.  A bound that
-# stops cutting leaves the designs unchanged, so only this count shows it.
+# visits 5596, 43488, 258485 and 1400889 on the first four searches.  The rest
+# were counted before the search dropped its row bound, which never cut.  A
+# bound that stops cutting leaves the designs unchanged, so only this count
+# shows it.
 NODE_BUDGET = {
-    ((7, 7, 3, 3, 1), None): 156,
-    ((6, 10, 3, 5, 2), None): 212,
-    ((7, 14, 3, 6, 2), 30): 419,
-    ((7, 14, 3, 6, 2), 100): 1441,
+    ((7, 7, 3, 3, 1), None, True): 156,
+    ((6, 10, 3, 5, 2), None, True): 212,
+    ((7, 14, 3, 6, 2), 30, True): 419,
+    ((7, 14, 3, 6, 2), 100, True): 1441,
+    ((9, 12, 3, 4, 1), 1, True): 25,
+    ((13, 13, 4, 4, 1), 1, True): 14,
+    ((15, 35, 3, 7, 1), 1, True): 36,
+    ((16, 20, 4, 5, 1), 1, True): 1276,
+    ((3, 3, 2, 2, 1), None, False): 16,
+    ((4, 6, 2, 3, 1), None, False): 1957,
 }
 
 
 def test_pruned_search_visits_no_more_nodes_than_its_budget():
     assert _nodes(search_oracle, 7, 7, 3, 3, 1) == 5596  # the counter counts nodes
-    for (params, limit), budget in NODE_BUDGET.items():
-        assert _nodes(search_designs, *params, limit=limit) <= budget, (params, limit)
+    for (params, limit, canonical), budget in NODE_BUDGET.items():
+        nodes = _nodes(search_designs, *params, limit=limit, canonical_only=canonical)
+        assert nodes <= budget, (params, limit, canonical)
 
 
 # The lex bound's table as search_designs built it before it ranked each Gram
