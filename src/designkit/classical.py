@@ -19,7 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import NatMatrix, _integral, kron as _kron, mat_mul as _mat_mul, transpose as _transpose
+from .linalg import (_INT64_BOUND, NatMatrix, _integral, _peak, kron as _kron,
+                     mat_mul as _mat_mul, transpose as _transpose)
 
 __all__ = [
     "ClassicalDesign",
@@ -124,7 +125,12 @@ class IdentityCheck:
 
 
 class CheckFailed(ValueError):
-    """A check ran and the object failed it: a verdict, not refused input."""
+    """A check ran and the object failed it: a verdict, not refused input.  ``witness``
+    is the failed check's own outcome, such as a HomCheck, when one is given."""
+
+    def __init__(self, message: str, witness=None) -> None:
+        super().__init__(message)
+        self.witness = witness
 
 
 class InfeasibleParametersError(CheckFailed):
@@ -212,9 +218,11 @@ def verify_hom(src: ClassicalDesign, dst: ClassicalDesign, hom: HomPair) -> HomC
         raise ValueError(f"point image out of range 0..{dst.v - 1}")
     if any(not 0 <= x < dst.b for x in hom.f_b):
         raise ValueError(f"block image out of range 0..{dst.b - 1}")
-    moved = np.zeros((dst.v, src.v), dtype=np.int64)
-    moved[hom.f_v, np.arange(src.v)] = 1
-    lhs = _mat_mul(NatMatrix._raw(moved), src.chi).a
+    # Scatter chi's rows onto their image points: O(v b), no dst.v x src.v selector.
+    chi = src.chi.a
+    dtype = np.int64 if _peak(chi) * src.v < _INT64_BOUND else object
+    lhs = np.zeros((dst.v, src.b), dtype=dtype)
+    np.add.at(lhs, np.array(hom.f_v, dtype=np.intp), chi.astype(dtype, copy=False))
     rhs = dst.chi.a[:, hom.f_b]
     bad = lhs != rhs
     if not bad.any():
@@ -261,10 +269,10 @@ _COMPLETE_MAX_CELLS = 10**6
 _SEARCH_MAX_BLOCKS = 512
 
 
-def _check_size(size: int, formula: str, unit: str) -> None:
-    """Refuse to build more than _COMPLETE_MAX_CELLS cells or entries."""
-    if size > _COMPLETE_MAX_CELLS:
-        raise ValueError(f"{formula} = {size} exceeds the limit of {_COMPLETE_MAX_CELLS} {unit}")
+def _check_size(size: int, formula: str, unit: str, limit: int = _COMPLETE_MAX_CELLS) -> None:
+    """Refuse to build more than ``limit`` cells or entries."""
+    if size > limit:
+        raise ValueError(f"{formula} = {size} exceeds the limit of {limit} {unit}")
 
 
 def gen_projective_plane(order: int) -> ClassicalDesign:

@@ -32,6 +32,7 @@ from .catalog import (
 from .classical import (
     CheckFailed,
     ClassicalDesign,
+    HomCheck,
     HomPair,
     InfeasibleParametersError,
     check_identities,
@@ -41,13 +42,12 @@ from .classical import (
     gen_projective_plane,
     search_designs,
     tensor as tensor_designs,
-    verify_hom,
 )
 from .cpmaps import (
     MATRIX,
     CpMap,
-    _lift,
     functor_q,
+    functor_q_on_hom,
     is_cp,
     is_trace_preserving,
     superop_from_choi,
@@ -56,8 +56,7 @@ from .cpmaps import (
 from .linalg import Tolerance
 from .quantum import (
     QuantumDesign,
-    _classify_projectors,
-    _mub_design,
+    classify_quantum,
     mub_generate,
     tensor_q,
     to_classical,
@@ -180,11 +179,10 @@ def cmd_verify_quantum(args) -> int:
     parameters: dict = {"v": design.v, "b": design.b}
     if rep.ok:
         try:
-            params = _classify_projectors(design, args.tol)
+            params = classify_quantum(design, args.tol)
         except CheckFailed as exc:
             checks.append(_check("pairwise traces are real", False, error=str(exc)))
-            params = None
-        if params is not None:
+        else:
             parameters.update(
                 {
                     "r": params.r,
@@ -280,7 +278,7 @@ def cmd_generate(args) -> int:
     elif args.kind == "complete":
         obj = gen_complete(args.v, args.k)
     else:
-        obj = _mub_design(mub_generate(args.dim, args.count))
+        obj = mub_generate(args.dim, args.count).design
     _write_text(args.output, dumps(obj))
     return EXIT_OK
 
@@ -376,7 +374,10 @@ def cmd_hom_check(args) -> int:
     src = _load_as(src_text, ClassicalDesign, "classical-design/1")
     dst = _load_as(dst_text, ClassicalDesign, "classical-design/1")
     hom = HomPair(f_v=_parse_map(args.fv, "--fv"), f_b=_parse_map(args.fb, "--fb"))
-    result = verify_hom(src, dst, hom)
+    try:
+        lift, result = functor_q_on_hom(src, dst, hom), HomCheck(ok=True)
+    except CheckFailed as exc:
+        lift, result = None, exc.witness
     checks = [
         _check(
             "homomorphism square",
@@ -393,8 +394,7 @@ def cmd_hom_check(args) -> int:
         "f_b": list(hom.f_b),
     }
     notes = ["indices are 0-based"]
-    if result.ok:
-        lift = _lift(dst, hom)
+    if lift is not None:
         parameters["lift_residuals"] = {
             "hom": lift.hom_residual,
             "embedding": lift.embedding_residual,

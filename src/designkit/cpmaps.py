@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import CheckFailed, ClassicalDesign, HomPair, classify, verify_hom
+from .classical import CheckFailed, ClassicalDesign, HomPair, _check_size, classify, verify_hom
 from .linalg import DEFAULT_TOL, ComplexMatrix, Tolerance
 from .quantum import QuantumDesign, _require_projectors
 
@@ -49,6 +49,10 @@ __all__ = [
 
 COMMUTATIVE = "commutative"
 MATRIX = "matrix"
+
+# Most complex entries, v * b^2, that functor_q builds: 160 MB of complex128.  It
+# admits the 133^3-entry image of pg2-11 and refuses pg2-17's 307^3.
+_FUNCTOR_Q_MAX_ENTRIES = 10**7
 
 
 @dataclass(frozen=True)
@@ -252,8 +256,10 @@ def functor_q(design: ClassicalDesign) -> QuantumDesign:
     p_i = diag(chi[i, :]).  The result classifies with the same (k, r),
     degree 1 and trace set {lambda}, and is commutative.  Raises CheckFailed
     for matrices with multiplicities (apply to_block first; parameters will
-    change) and designs missing any of k, r, lambda.
+    change) and designs missing any of k, r, lambda.  Refuses more than
+    _FUNCTOR_Q_MAX_ENTRIES projector entries, v * b^2, before anything else.
     """
+    _check_size(design.v * design.b**2, "v*b^2", "projector entries", _FUNCTOR_Q_MAX_ENTRIES)
     if not design.is_zero_one:
         raise CheckFailed(
             "incidence matrix has entries > 1; apply to_block first "
@@ -289,28 +295,22 @@ class HomLiftCheck:
 
 
 def functor_q_on_hom(src: ClassicalDesign, dst: ClassicalDesign, hom: HomPair) -> HomLiftCheck:
-    """Check the lifted commuting squares of a verified hom, by index.
+    """Prove the hom square with verify_hom, then check its lifted squares by index.
 
-    Precondition: verify_hom(src, dst, hom) passes; raises CheckFailed
-    otherwise.  Delta is the diagonal comultiplication x -> x (x) x on
-    coordinates; mu = Delta^T is the multiplication.  F_v and F_b are the
-    0/1 selector matrices of the point and block maps.  Every residual is
-    read off the integer data in O(v' b'); no selector is built.  The
-    residuals are integers, so the verdict is exact and takes no tolerance;
-    an outer residual beyond binary64 raises ValueError.
+    A failed hom square raises CheckFailed whose ``witness`` is verify_hom's
+    HomCheck.  Delta is the diagonal comultiplication x -> x (x) x on
+    coordinates; mu = Delta^T is the multiplication.  F_v and F_b are the 0/1
+    selector matrices of the point and block maps.  Every residual is read
+    off the integer data in O(v' b'); no selector is built.  The residuals are
+    integers, so the verdict is exact and takes no tolerance; an outer
+    residual beyond binary64 raises ValueError.
     """
     check = verify_hom(src, dst, hom)
     if not check.ok:
-        raise CheckFailed(f"hom square fails at cell {check.cell}: {check.lhs} != {check.rhs}")
-    return _lift(dst, hom)
-
-
-def _lift(dst: ClassicalDesign, hom: HomPair) -> HomLiftCheck:
-    """functor_q_on_hom for a hom that verify_hom has already proved."""
-    # verify_hom has proved F_v chi = chi' F_b exactly over the integers.
-    hom_res = 0.0
-    # (F_b (x) F_b) Delta and Delta' F_b both send block j to e_(f(j), f(j)).
-    emb_res = 0.0
+        raise CheckFailed(f"hom square fails at cell {check.cell}: {check.lhs} != {check.rhs}",
+                          witness=check)
+    # The hom residual is 0: verify_hom has proved F_v chi = chi' F_b exactly.  The
+    # embedding residual is 0: (F_b (x) F_b) Delta and Delta' F_b send block j to e_(f(j), f(j)).
     # At (i, (j, k)), chi' mu' (F_b (x) F_b) is chi'[i, f(j)] when f(j) = f(k)
     # and 0 otherwise; F_v chi mu is (F_v chi)[i, j] = chi'[i, f(j)] when j = k
     # and 0 otherwise.  They differ exactly where j != k and f(j) = f(k), by
@@ -322,12 +322,8 @@ def _lift(dst: ClassicalDesign, hom: HomPair) -> HomLiftCheck:
     except OverflowError:
         raise ValueError(f"outer residual {outer} (an entry of a merged destination block) "
                          "exceeds binary64") from None
-    return HomLiftCheck(
-        hom_residual=hom_res,
-        embedding_residual=emb_res,
-        outer_residual=outer_res,
-        ok=bool(outer == 0),
-    )
+    return HomLiftCheck(hom_residual=0.0, embedding_residual=0.0, outer_residual=outer_res,
+                        ok=bool(outer == 0))
 
 
 @dataclass(frozen=True)

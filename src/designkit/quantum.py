@@ -45,7 +45,8 @@ __all__ = [
 @dataclass(frozen=True)
 class QuantumDesign:
     """Ordered family of b x b complex matrices meant to be projectors, views of one array:
-    ``_stack``, C-contiguous (v, b, b) complex128."""
+    ``_stack``, C-contiguous (v, b, b) complex128.  A design is treated as immutable,
+    though its arrays are writeable: validate keeps its report on it, per Tolerance."""
 
     projectors: tuple[ComplexMatrix, ...]
 
@@ -70,6 +71,7 @@ class QuantumDesign:
     def _hold(self, stack: np.ndarray) -> None:
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "projectors", tuple(map(ComplexMatrix._raw, stack)))
+        object.__setattr__(self, "_reports", {})  # Tolerance -> ValidationReport
 
     @property
     def v(self) -> int:
@@ -119,7 +121,8 @@ class QuantumParams:
 
 
 def validate(design: QuantumDesign, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
-    """Check p = p^dagger = p^2 for every family member, with residuals.
+    """Check p = p^dagger = p^2 for every family member, with residuals, and keep the
+    report on the design for the checks that need a projector family at an equal tolerance.
 
     Raises ValueError naming the projector and its largest |entry| when p p
     is not finite in binary64.
@@ -140,11 +143,13 @@ def validate(design: QuantumDesign, tol: Tolerance = DEFAULT_TOL) -> ValidationR
         idem = np.abs(a_sq - a).max(axis=(1, 2)).tolist()
         ok = (tol.isclose(a, a_h) & tol.isclose(a_sq, a)).all(axis=(1, 2)).tolist()
         checks += map(ProjectorCheck, range(lo, lo + len(a)), herm, idem, ok)
-    return ValidationReport(checks=tuple(checks), ok=all(c.ok for c in checks))
+    report = ValidationReport(checks=tuple(checks), ok=all(c.ok for c in checks))
+    design._reports[tol] = report
+    return report
 
 
 def _require_projectors(design: QuantumDesign, tol: Tolerance) -> None:
-    rep = validate(design, tol)
+    rep = design._reports.get(tol) or validate(design, tol)
     if not rep.ok:
         bad = [c.index for c in rep.checks if not c.ok]
         raise CheckFailed(f"not a projector family: indices {bad} fail validation")
@@ -178,11 +183,6 @@ def classify_quantum(design: QuantumDesign, tol: Tolerance = DEFAULT_TOL) -> Qua
     tolerance.
     """
     _require_projectors(design, tol)
-    return _classify_projectors(design, tol)
-
-
-def _classify_projectors(design: QuantumDesign, tol: Tolerance) -> QuantumParams:
-    """classify_quantum for a family that has already passed validate."""
     stack = design._stack
     v, b = design.v, design.b
     traces = np.einsum("aii->a", stack)
@@ -399,6 +399,12 @@ class MubFamily:
     def k(self) -> int:
         return len(self.bases)
 
+    @property
+    def design(self) -> QuantumDesign:
+        """The projectors x x^dagger onto every basis vector, basis by basis, unverified."""
+        x = np.concatenate([m.a.T for m in self.bases])
+        return QuantumDesign._from_stack(x[:, :, np.newaxis] * x.conj()[:, np.newaxis, :])
+
 
 def mub_generate(d: int, k: int) -> MubFamily:
     """k mutually unbiased bases of C^d for prime d, 1 <= k <= d + 1.
@@ -460,12 +466,6 @@ class MubReport:
 _MUB_FAILURE_CAP = 20
 
 
-def _mub_design(family: MubFamily) -> QuantumDesign:
-    """The projectors x x^dagger onto every basis vector, basis by basis."""
-    x = np.concatenate([m.a.T for m in family.bases])
-    return QuantumDesign._from_stack(x[:, :, np.newaxis] * x.conj()[:, np.newaxis, :])
-
-
 def mub_verify(family: MubFamily, tol: Tolerance = DEFAULT_TOL) -> MubReport:
     """Check the unbiasedness trace law and package the family as a design.
 
@@ -496,7 +496,7 @@ def mub_verify(family: MubFamily, tol: Tolerance = DEFAULT_TOL) -> MubReport:
     ]
     total = vectors @ vectors.conj().T
     sum_ok = tol.allclose(total, k * eye)
-    design = _mub_design(family)
+    design = family.design
     params: QuantumParams | None
     try:
         params = classify_quantum(design, tol)

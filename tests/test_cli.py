@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import time
@@ -388,6 +389,24 @@ def test_check_failed_is_the_one_failed_check_type():
     assert not issubclass(FormatError, CheckFailed)
 
 
+def test_cli_imports_no_private_designkit_name():
+    # Dunders such as __version__ are public; a single leading underscore is not.
+    tree = ast.parse(open(cli.__file__, encoding="utf-8").read())
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.level > 0 or (node.module or "").startswith("designkit"))
+                for alias in node.names]
+    assert ("cpmaps", "functor_q_on_hom") in imported
+    assert [pair for pair in imported
+            if pair[1].startswith("_") and not pair[1].endswith("__")] == []
+
+
+def test_the_private_twins_of_public_functions_are_gone():
+    assert not hasattr(quantum, "_classify_projectors")
+    assert not hasattr(quantum, "_mub_design")
+    assert not hasattr(cpmaps, "_lift")
+
+
 def test_tensor_classical_designs(fano_file, tmp_path, capsys):
     other = write(tmp_path, "complete.json", catalog_text("complete-3-2"))
     out_path = str(tmp_path / "product.json")
@@ -647,14 +666,15 @@ def test_hom_check_json_bytes_are_pinned(tmp_path, capsys, case):
     assert (code, out, err) == (0, want, "")
 
 
-def test_hom_check_proves_the_square_once(tmp_path, capsys, monkeypatch):
+def test_hom_check_proves_the_square_once(tmp_path, capsys, monkeypatch, fano_file):
     calls = []
 
     def counting(src, dst, hom):
         calls.append(hom)
         return verify_hom(src, dst, hom)
 
-    monkeypatch.setattr(cli, "verify_hom", counting)
+    # raising=False: cli imports no verify_hom, but a call through it would count here.
+    monkeypatch.setattr(cli, "verify_hom", counting, raising=False)
     monkeypatch.setattr(cpmaps, "verify_hom", counting)
     src, dst, f_v, f_b = relabelled_pg2_3()
     code, _, _ = run(capsys, "hom-check", write(tmp_path, "src.json", src),
@@ -662,6 +682,14 @@ def test_hom_check_proves_the_square_once(tmp_path, capsys, monkeypatch):
                      "--fb", " ".join(map(str, f_b)), "--json")
     assert code == 0
     assert len(calls) == 1
+    # A failing square, the swapped map of the witness test, is proved once too,
+    # and reports the cell that verify_hom finds.
+    code, out, _ = run(capsys, "hom-check", fano_file, fano_file,
+                       "--fv", "1 0 2 3 4 5 6", "--fb", "0 1 2 3 4 5 6", "--json")
+    assert code == 1
+    assert len(calls) == 2
+    chk = json.loads(out)["checks"][0]
+    assert (chk["passed"], chk["cell"], chk["lhs"], chk["rhs"]) == (False, [0, 0], 1, 0)
 
 
 def test_hom_check_refuses_an_outer_residual_beyond_binary64(tmp_path, capsys):

@@ -6,6 +6,7 @@ time.  A request that writes nothing to stdout and exits 1 or 2 writes one
 ``error:`` line to stderr; exit 2 always leaves stdout empty.
 """
 
+import json
 import warnings
 
 import numpy as np
@@ -93,10 +94,13 @@ PLAIN_REQUESTS = {
 
 # Requests past a size bound: each exits 2 naming the bound before it allocates,
 # or prints its report.  "tall" is 100000 x 1 ones, whose v x v Gram matrix would
-# take 74.5 GiB; "big" is 1000 x 1000, whose tensor square has 10^12 cells; "q32"
-# is the identity on C^32, whose tensor square has (32*32)^2 > 10^6 entries.
+# take 74.5 GiB; "wide" is 2 x 100000 ones, whose functor_q image would hold
+# 2 * 10^10 complex entries (298 GiB); "big" is 1000 x 1000, whose tensor square
+# has 10^12 cells; "q32" is the identity on C^32, whose tensor square has
+# (32*32)^2 > 10^6 entries.
 SIZE_DOCUMENTS = {
     "tall": lambda: ClassicalDesign(NatMatrix._raw(np.ones((100000, 1), dtype=np.int64))),
+    "wide": lambda: ClassicalDesign(NatMatrix._raw(np.ones((2, 100000), dtype=np.int64))),
     "big": lambda: ClassicalDesign(NatMatrix._raw(np.eye(1000, dtype=np.int64))),
     "q32": lambda: QuantumDesign((ComplexMatrix(np.eye(32)),)),
 }
@@ -117,6 +121,9 @@ SIZE_REQUESTS = {  # name -> (argv, exit code, stderr)
     "tensor-q-oversized": (["tensor", "q32", "q32"], 2,
                            "error: v1*v2*(b1*b2)^2 = 1048576 exceeds the limit of 1000000 "
                            "projector entries\n"),
+    "convert-c2q-wide": (["convert", "c2q", "wide"], 2,
+                         "error: v*b^2 = 20000000000 exceeds the limit of 10000000 "
+                         "projector entries\n"),
 }
 
 
@@ -200,6 +207,20 @@ def test_requests_past_a_size_bound_keep_the_exit_code_contract(tmp_path, capsys
     assert (code, err) == (want_code, want_err)
     if code == 0:  # all rows equal and 0/1: balanced with lambda = r = 1
         assert '"lambda":1,' in out or "  lambda = 1\n" in out
+
+
+def test_hom_check_of_the_tall_identity_scatters_by_index(tmp_path, capsys):
+    # A dense dst.v x src.v point selector would take 74.5 GiB here.
+    argv = ["hom-check", "tall", "tall", "--fv", " ".join(map(str, range(100000))),
+            "--fb", "0", "--json"]
+    code, out, err = assert_contract(tmp_path, capsys, {"tall": SIZE_DOCUMENTS["tall"]()}, argv)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["passed"] is True
+    assert doc["checks"] == [{"cell": None, "lhs": None, "name": "homomorphism square",
+                              "passed": True, "rhs": None}]
+    assert doc["parameters"]["lift_residuals"] == {"all_within_tolerance": True,
+                                                   "embedding": 0.0, "hom": 0.0, "outer": 0.0}
 
 
 @pytest.mark.parametrize("mode", [[], ["--json"]])

@@ -14,6 +14,7 @@ from designkit.classical import (
     classify,
     gen_complete,
     gen_projective_plane,
+    verify_hom,
 )
 from designkit.cpmaps import (
     Algebra,
@@ -31,7 +32,7 @@ from designkit.cpmaps import (
     vec,
     verify_cp_design,
 )
-from designkit.linalg import DEFAULT_TOL, ComplexMatrix
+from designkit.linalg import DEFAULT_TOL, ComplexMatrix, NatMatrix
 from designkit.quantum import QuantumDesign, classify_quantum, mub_generate, mub_verify
 
 K2R2_4X4 = [
@@ -291,6 +292,28 @@ def test_functor_refusals_are_failed_checks():
     design = gen_projective_plane(2)
     with pytest.raises(CheckFailed, match="hom square fails"):
         functor_q_on_hom(design, design, HomPair(f_v=tuple(range(7)), f_b=(1, 0, 2, 3, 4, 5, 6)))
+
+
+def test_a_failed_hom_square_carries_the_verify_hom_witness():
+    design = gen_projective_plane(2)
+    broken = HomPair(f_v=tuple(range(7)), f_b=(1, 0, 2, 3, 4, 5, 6))
+    with pytest.raises(CheckFailed, match="hom square fails") as info:
+        functor_q_on_hom(design, design, broken)
+    assert info.value.witness == verify_hom(design, design, broken)
+    assert not info.value.witness.ok and info.value.witness.cell is not None
+    assert CheckFailed("no witness").witness is None
+
+
+def test_functor_q_refuses_an_oversized_image_before_classifying(monkeypatch):
+    def never(design):
+        raise AssertionError("classify ran")
+
+    monkeypatch.setattr(cpmaps, "classify", never)
+    wide = ClassicalDesign(NatMatrix._raw(np.ones((2, 100000), dtype=np.int64)))
+    with pytest.raises(ValueError, match=r"^v\*b\^2 = 20000000000 exceeds the limit of "
+                                         r"10000000 projector entries$"):
+        functor_q(wide)
+    assert cpmaps._FUNCTOR_Q_MAX_ENTRIES >= 133**3  # the pg2-11 image
 
 
 def test_functor_q_on_hom_flags_non_injective_block_map():

@@ -420,6 +420,73 @@ def test_vectorised_classify_and_verify_hom_match_the_loop_oracles():
     assert all(count >= 10 for count in seen.values()), seen
 
 
+def dense_verify_hom(src, dst, hom):
+    """verify_hom as it was before it scattered by index: a dense dst.v x src.v
+    selector times chi, for in-range maps."""
+    moved = np.zeros((dst.v, src.v), dtype=np.int64)
+    moved[list(hom.f_v), np.arange(src.v)] = 1
+    lhs = mat_mul(NatMatrix._raw(moved), src.chi).a
+    rhs = dst.chi.a[:, list(hom.f_b)]
+    bad = lhs != rhs
+    if not bad.any():
+        return HomCheck(ok=True)
+    i, j = divmod(int(bad.argmax()), src.b)
+    return HomCheck(ok=False, cell=(i, j), lhs=int(lhs[i, j]), rhs=int(rhs[i, j]))
+
+
+HUGE_ENTRIES = (0, 1, 2**62 - 1, 2**62, 2**63 - 1, 2**63, 2**64 + 3, 10**30)
+
+
+def _moved_target(chi, f_v, f_b, dst_v):
+    # The target that makes the square commute: sums of chi's rows, as Python ints.
+    target = np.zeros((dst_v, chi.shape[1]), dtype=object)
+    for a, i in enumerate(f_v):
+        target[i] += chi[a]
+    out = np.empty_like(target)
+    out[:, list(f_b)] = target
+    return out
+
+
+def test_verify_hom_by_index_matches_the_dense_selector_oracle():
+    rng = np.random.default_rng(1729)
+    seen = {"relabel": 0, "swap-fail": 0, "merge-ok": 0, "merge-fail": 0, "int64": 0,
+            "object": 0, "sum-past-2^63": 0}
+    for trial in range(N_CASES):
+        if trial % 3 == 2:  # entries on both sides of 2**63
+            shape = (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+            rows = np.array(HUGE_ENTRIES, dtype=object)[rng.integers(len(HUGE_ENTRIES), size=shape)]
+        else:
+            rows = _random_chi(rng)
+        src = ClassicalDesign(NatMatrix(rows.tolist()))
+        v, b, chi = src.v, src.b, _objects(src.chi)
+        seen["int64" if int(chi.max()) * v < 2**63 else "object"] += 1
+
+        # A relabelling, then the same target with two point images swapped.
+        f_v, f_b = rng.permutation(v).tolist(), rng.permutation(b).tolist()
+        dst = ClassicalDesign(NatMatrix(_moved_target(chi, f_v, f_b, v).tolist()))
+        cases = [(dst, HomPair(f_v=tuple(f_v), f_b=tuple(f_b)), "relabel", True)]
+        if v >= 2:
+            x, y = rng.choice(v, size=2, replace=False).tolist()
+            f_v[x], f_v[y] = f_v[y], f_v[x]
+            cases.append((dst, HomPair(f_v=tuple(f_v), f_b=tuple(f_b)), "swap-fail", None))
+        # A point map that merges points, which makes non-0/1 sums; then one cell off.
+        dst_v = int(rng.integers(1, v + 1))
+        f_v, f_b = rng.integers(0, dst_v, size=v).tolist(), rng.permutation(b).tolist()
+        hom = HomPair(f_v=tuple(f_v), f_b=tuple(f_b))
+        target = _moved_target(chi, f_v, f_b, dst_v)
+        seen["sum-past-2^63"] += int(target.max()) >= 2**63 > int(chi.max())
+        cases.append((ClassicalDesign(NatMatrix(target.tolist())), hom, "merge-ok", True))
+        target[int(rng.integers(dst_v)), int(rng.integers(b))] += 2**63
+        cases.append((ClassicalDesign(NatMatrix(target.tolist())), hom, "merge-fail", False))
+        for dst, hom, tag, want in cases:
+            got = verify_hom(src, dst, hom)
+            assert got == dense_verify_hom(src, dst, hom) == oracle_verify_hom(src, dst, hom)
+            assert {type(x) for x in (got.lhs, got.rhs)} <= {int, type(None)}
+            assert want is None or got.ok == want
+            seen[tag] += got.ok != tag.endswith("fail")
+    assert all(count >= 10 for count in seen.values()), seen
+
+
 def test_classify_reads_balance_of_tall_designs_without_the_gram_matrix():
     # With b < v, classify decides balance from the rows alone; the oracle
     # still reads the v x v Gram matrix.

@@ -7,7 +7,13 @@ import pytest
 
 from designkit import quantum
 from designkit.catalog import dumps
-from designkit.classical import ClassicalDesign, check_identities, gen_complete, gen_projective_plane
+from designkit.classical import (
+    CheckFailed,
+    ClassicalDesign,
+    check_identities,
+    gen_complete,
+    gen_projective_plane,
+)
 from designkit.cli import main
 from designkit.cpmaps import functor_q
 from designkit.linalg import DEFAULT_TOL, ComplexMatrix, NatMatrix, Tolerance, split_by_projector
@@ -648,8 +654,60 @@ def test_projectors_are_views_into_one_family_array():
         assert all(np.shares_memory(p.a, design._stack) for p in design.projectors)
 
 
+def nearly_a_projector_family():
+    # Projector 0 misses idempotency by about 1e-6: a failure at the default
+    # tolerance and a pass at abs_eps = 1e-3.
+    return QuantumDesign(projectors=(ComplexMatrix(np.diag([1.0 + 1e-6, 0.0])),
+                                     ComplexMatrix(np.diag([0.0, 1.0]))))
+
+
+def count_validations(monkeypatch):
+    calls = []
+
+    def counting(design, tol):
+        calls.append(tol)
+        return validate(design, tol)
+
+    monkeypatch.setattr(quantum, "validate", counting)
+    return calls
+
+
+def test_classify_quantum_reads_the_report_validate_kept_at_an_equal_tolerance(monkeypatch):
+    loose = Tolerance(abs_eps=1e-3)
+    for design, tol in ((basis_projectors(3), DEFAULT_TOL),
+                        (nearly_a_projector_family(), loose)):
+        assert validate(design, tol).ok
+        calls = count_validations(monkeypatch)
+        params = classify_quantum(design, Tolerance(abs_eps=tol.abs_eps, rel_eps=tol.rel_eps))
+        assert calls == [] and params.r == 1
+    design = nearly_a_projector_family()
+    assert not validate(design).ok
+    calls = count_validations(monkeypatch)
+    with pytest.raises(CheckFailed, match=r"^not a projector family: indices \[0\] fail"):
+        classify_quantum(design, Tolerance())
+    assert calls == []
+
+
+def test_a_different_tolerance_validates_again_and_the_verdict_follows_it(monkeypatch, tmp_path):
+    design = nearly_a_projector_family()
+    assert not validate(design).ok
+    calls = count_validations(monkeypatch)
+    loose = Tolerance(abs_eps=1e-3)
+    params = classify_quantum(design, loose)
+    assert (params.r, params.degree, params.commutative) == (1, 1, True)
+    assert to_classical(design, loose).chi.tolist() == [[1, 0], [0, 1]]
+    assert calls == [loose]
+    with pytest.raises(CheckFailed, match="not a projector family"):
+        classify_quantum(design)
+    assert calls == [loose]
+    path = tmp_path / "near.json"
+    path.write_text(dumps(design), encoding="utf-8")
+    assert main(["verify-quantum", str(path), "--json"]) == 1
+    assert main(["verify-quantum", str(path), "--json", "--abs-eps", "1e-3"]) == 0
+
+
 def test_family_builders_match_their_per_projector_oracles_bit_for_bit():
-    # functor_q, _mub_design and tensor_q fill the family array in one operation
+    # functor_q, MubFamily.design and tensor_q fill the family array in one operation
     # each; their oracles build one projector at a time.
     for order in (2, 3, 5):
         design = gen_projective_plane(order)
@@ -660,7 +718,7 @@ def test_family_builders_match_their_per_projector_oracles_bit_for_bit():
         family = mub_generate(d, k)
         vectors = np.column_stack([m.a for m in family.bases])
         want = [np.outer(x, x.conj()) for x in vectors.T]
-        assert [p.a.tobytes() for p in quantum._mub_design(family).projectors] == \
+        assert [p.a.tobytes() for p in family.design.projectors] == \
             [a.tobytes() for a in want]
     rng = np.random.default_rng(1403)
     for trial in range(12):
@@ -676,7 +734,7 @@ def test_mub_design_keeps_the_finiteness_refusal():
     # x x^dagger overflows here as np.outer did, warning included.
     with pytest.raises(ValueError, match="^matrix entries must be finite$"), \
             np.errstate(over="ignore", invalid="ignore"):
-        quantum._mub_design(MubFamily((ComplexMatrix([[1e200]]),)))
+        MubFamily((ComplexMatrix([[1e200]]),)).design
 
 
 def test_tensor_q_parameters_multiply():
