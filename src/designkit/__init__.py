@@ -1,121 +1,26 @@
 """Classical block designs, projector-family quantum designs, and the
 completely positive maps connecting them: classification, counting-identity
-checks, generation, exhaustive search, and bit-exact file formats."""
+checks, generation, exhaustive search, and bit-exact file formats.
+
+The package exports exactly its modules' ``__all__`` lists and imports a
+module the first time one of its names is asked for (PEP 562)."""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .linalg import (
-    DEFAULT_TOL,
-    ComplexMatrix,
-    NatMatrix,
-    Tolerance,
-    adjoint,
-    kron,
-    mat_mul,
-    split_by_projector,
-    trace,
-    transpose,
-)
-from .classical import (
-    CheckFailed,
-    ClassicalDesign,
-    DesignParams,
-    HomPair,
-    IdentityCheck,
-    InfeasibleParametersError,
-    check_identities,
-    classify,
-    compose_hom,
-    designs_isomorphic,
-    dual,
-    gen_complete,
-    gen_projective_plane,
-    search_designs,
-    tensor,
-    to_block,
-    verify_hom,
-)
-from .quantum import (
-    MubFamily,
-    QuantumDesign,
-    QuantumParams,
-    classify_quantum,
-    mub_generate,
-    mub_verify,
-    tensor_q,
-    to_classical,
-    validate,
-)
-from .cpmaps import (
-    Algebra,
-    ChoiMatrix,
-    CpMap,
-    choi,
-    classical_to_cp,
-    embed_commutative,
-    functor_q,
-    functor_q_on_hom,
-    is_cp,
-    is_trace_preserving,
-    quantum_design_to_cp,
-    superop_from_choi,
-    verify_cp_design,
-)
-from .catalog import FormatError, catalog_expected, catalog_get, catalog_names
+_MODULES = ("linalg", "classical", "quantum", "cpmaps", "catalog")
 
-__all__ = [
-    "__version__",
-    "Tolerance",
-    "DEFAULT_TOL",
-    "NatMatrix",
-    "ComplexMatrix",
-    "mat_mul",
-    "kron",
-    "transpose",
-    "adjoint",
-    "trace",
-    "split_by_projector",
-    "ClassicalDesign",
-    "DesignParams",
-    "HomPair",
-    "IdentityCheck",
-    "CheckFailed",
-    "InfeasibleParametersError",
-    "classify",
-    "check_identities",
-    "to_block",
-    "verify_hom",
-    "compose_hom",
-    "tensor",
-    "dual",
-    "gen_projective_plane",
-    "gen_complete",
-    "search_designs",
-    "designs_isomorphic",
-    "QuantumDesign",
-    "QuantumParams",
-    "MubFamily",
-    "validate",
-    "classify_quantum",
-    "to_classical",
-    "tensor_q",
-    "mub_generate",
-    "mub_verify",
-    "Algebra",
-    "CpMap",
-    "ChoiMatrix",
-    "choi",
-    "superop_from_choi",
-    "is_cp",
-    "is_trace_preserving",
-    "classical_to_cp",
-    "quantum_design_to_cp",
-    "functor_q",
-    "functor_q_on_hom",
-    "embed_commutative",
-    "verify_cp_design",
-    "FormatError",
-    "catalog_get",
-    "catalog_names",
-    "catalog_expected",
-]
+
+def __getattr__(name: str):
+    modules = (importlib.import_module(f"{__name__}.{stem}") for stem in _MODULES)
+    if name == "__all__":
+        return ["__version__", *(n for module in modules for n in module.__all__)]
+    for module in modules:
+        if name in module.__all__:
+            return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return __getattr__("__all__")

@@ -52,6 +52,7 @@ __all__ = [
     "catalog_names",
     "catalog_expected",
     "catalog_get",
+    "catalog_text",
 ]
 
 SCHEMA_CLASSICAL = "classical-design/1"

@@ -317,6 +317,8 @@ def cmd_dual(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.limit is not None and args.limit < 1:
+        raise ValueError(f"--limit must be at least 1, got {args.limit}")
     request = {
         "v": args.v,
         "b": args.b,
@@ -416,7 +418,9 @@ def cmd_hom_check(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    if args.list or args.name is None:
+    if args.list and args.name is not None:
+        raise ValueError(f"catalog takes a NAME or --list, not both (got {args.name!r})")
+    if args.name is None:
         for name in catalog_names():
             print(name)
         return EXIT_OK

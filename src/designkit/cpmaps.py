@@ -27,6 +27,8 @@ from .linalg import DEFAULT_TOL, ComplexMatrix, Tolerance
 from .quantum import QuantumDesign, _require_projectors
 
 __all__ = [
+    "COMMUTATIVE",
+    "MATRIX",
     "Algebra",
     "CpMap",
     "ChoiMatrix",

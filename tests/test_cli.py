@@ -709,6 +709,11 @@ def test_catalog_list(capsys):
                            "mub-3-4", "pg2-3", "pg2-5"]
 
 
+def test_catalog_refuses_a_name_together_with_list(capsys):
+    assert run(capsys, "catalog", "fano", "--list") == (
+        2, "", "error: catalog takes a NAME or --list, not both (got 'fano')\n")
+
+
 def test_catalog_prints_entry_bytes(tmp_path, capsys):
     out_path = str(tmp_path / "fano.json")
     code, _, _ = run(capsys, "catalog", "fano", "-o", out_path)

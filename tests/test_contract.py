@@ -126,6 +126,16 @@ SIZE_REQUESTS = {  # name -> (argv, exit code, stderr)
                          "projector entries\n"),
 }
 
+# Option values refused as bad input, although the parameters have 30 designs.
+REFUSED_OPTIONS = {  # name -> (argv, stderr)
+    "search-limit-0": (["search", "--v", "7", "--b", "7", "--k", "3", "--r", "3", "--lambda",
+                        "1", "--canonical", "--limit", "0"],
+                       "error: --limit must be at least 1, got 0\n"),
+    "search-limit-negative": (["search", "--v", "7", "--b", "7", "--k", "3", "--r", "3",
+                               "--lambda", "1", "--canonical", "--limit", "-3", "--json"],
+                              "error: --limit must be at least 1, got -3\n"),
+}
+
 
 def documents(e):
     return {
@@ -207,6 +217,12 @@ def test_requests_past_a_size_bound_keep_the_exit_code_contract(tmp_path, capsys
     assert (code, err) == (want_code, want_err)
     if code == 0:  # all rows equal and 0/1: balanced with lambda = r = 1
         assert '"lambda":1,' in out or "  lambda = 1\n" in out
+
+
+@pytest.mark.parametrize("request_name", list(REFUSED_OPTIONS))
+def test_a_limit_below_one_is_refused_as_bad_input(tmp_path, capsys, request_name):
+    argv, want_err = REFUSED_OPTIONS[request_name]
+    assert assert_contract(tmp_path, capsys, {}, argv) == (2, "", want_err)
 
 
 def test_hom_check_of_the_tall_identity_scatters_by_index(tmp_path, capsys):
