@@ -421,10 +421,10 @@ def cmd_catalog(args) -> int:
     if args.list and args.name is not None:
         raise ValueError(f"catalog takes a NAME or --list, not both (got {args.name!r})")
     if args.name is None:
-        for name in catalog_names():
-            print(name)
-        return EXIT_OK
-    _write_text(args.output, catalog_text(args.name))
+        text = "".join(f"{name}\n" for name in catalog_names())
+    else:
+        text = catalog_text(args.name)
+    _write_text(args.output, text)
     return EXIT_OK
 
 

@@ -18,6 +18,7 @@ of a map with a commutative leg is then a direct sum of small blocks, which
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -334,10 +335,13 @@ class CpDesignReport:
 
     k is the uniformity constant (unit covector condition), r the regularity
     constant (unit vector condition); each is None when its residual exceeds
-    tolerance.  lam minimizes || m m^dagger - [lam (w w^dagger - I) + r I] ||_max
-    over real lam (w = unit coordinates of the output algebra); the residual
-    is always reported and lam_balanced is claimed only when it is at most
-    abs_eps.
+    tolerance.  When r is present, lam_residual is
+    || m m^dagger - [lam (w w^dagger - I) + r I] ||_max (w = unit coordinates of
+    the output algebra) and lam is the unique real minimiser of that norm over
+    the moving entries, those where w w^dagger - I is nonzero.  The fixed
+    entries enter only lam_residual, so a map whose fixed entries dominate
+    still reports this one lam.  lam_balanced is claimed only when the
+    residual is at most abs_eps.
     """
 
     k: float | None
@@ -359,12 +363,54 @@ def _gram(m: np.ndarray) -> np.ndarray:
     return gram
 
 
+def _balance_fit(base: np.ndarray, shape: np.ndarray, fixed: float) -> tuple[float, float]:
+    """(lam, max(fixed, max_e |base_e - lam shape_e|)) for the unique real lam
+    minimising the moving part, where every shape_e is +1 or -1.
+
+    |base_e - lam shape_e| = |c_e - lam| with c_e = base_e shape_e, so lam is the
+    real centre of the smallest disc holding every c_e.  Since
+    |c_e - t|^2 = t^2 - 2 x_e t + q_e with x_e = Re c_e and q_e = |c_e|^2, lam
+    maximises H(t) - t^2, where H is the upper concave envelope of the points
+    (x_e, q_e).  On the envelope edge from a to b that maximum is at the point
+    equidistant from c_a and c_b, t = (q_b - q_a) / (2 (x_b - x_a)), clipped to
+    [x_a, x_b].  No moving entry, or only zeros, gives lam = 0.
+    """
+    c = base * shape
+    top = float(np.abs(c).max(initial=0.0))
+    lam = 0.0
+    if top > 0.0:
+        # Exact scaling by a power of two 2^e >= max|c_e|, so q_e <= 1 cannot overflow.
+        e = math.frexp(top)[1]
+        x, y = np.ldexp(c.real, -e), np.ldexp(c.imag, -e)
+        q = x * x + y * y
+        order = np.lexsort((q, x))
+        x, q = x[order], q[order]
+        last = np.append(x[1:] != x[:-1], True)  # the highest point of each x
+        hull: list[tuple[float, float]] = []
+        for b in zip(x[last].tolist(), q[last].tolist()):
+            # Drop the last vertex while it is on or below the chord to b.
+            while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (b[1] - hull[-2][1])
+                                     >= (hull[-1][1] - hull[-2][1]) * (b[0] - hull[-2][0])):
+                hull.pop()
+            hull.append(b)
+        lam = hull[-1][0]
+        for (xa, qa), (xb, qb) in zip(hull, hull[1:]):
+            t = (qb - qa) / (2.0 * (xb - xa))
+            if t < xb:
+                lam = max(xa, t)
+                break
+        lam = math.ldexp(lam, e)
+    return lam, float(np.abs(base - lam * shape).max(initial=fixed))
+
+
 def verify_cp_design(f: CpMap, tol: Tolerance = DEFAULT_TOL) -> CpDesignReport:
     """Check the uniformity / regularity / balance conditions of a map.
 
     Works on any algebra combination: the unit coordinate vector is all-ones
     for Commutative(n) and vec(I) for Matrix(n).  Note a transposed (dual)
-    map swaps the roles of k and r.
+    map swaps the roles of k and r.  lam is computed in closed form from the
+    moving entries alone, and the balance residual is evaluated once, at lam,
+    over every entry.
     """
     m = f.m.a
     w_in = f.in_alg.identity_vector()
@@ -394,26 +440,12 @@ def verify_cp_design(f: CpMap, tol: Tolerance = DEFAULT_TOL) -> CpDesignReport:
         # Only the entries where shape is nonzero move with lam.
         moving = shape != 0
         fixed = float(np.abs(base[~moving]).max(initial=0.0))
-        base, shape = base[moving], shape[moving]
-
-        def residual(lam_val: float) -> float:
-            return float(np.abs(base - lam_val * shape).max(initial=fixed))
-
         span = float(np.abs(gram).max(initial=0.0)) + abs(r_est.real) + 1.0
-        bound = float(np.finfo(np.float64).max) / 2.0  # keeps 2 span and residuals finite
+        bound = float(np.finfo(np.float64).max) / 2.0  # keeps every |base - lam shape| finite
         if not span <= bound:
             raise ValueError(f"lambda search bound max|m m^dagger| + |r| + 1 = {span!r} "
                              f"exceeds {bound!r}, half the binary64 range")
-        lo, hi = -span, span
-        for _ in range(120):
-            third = (hi - lo) / 3.0
-            m1, m2 = lo + third, hi - third
-            if residual(m1) < residual(m2):
-                hi = m2
-            else:
-                lo = m1
-        lam = (lo + hi) / 2.0
-        lam_res = residual(lam)
+        lam, lam_res = _balance_fit(base[moving], shape[moving].real, fixed)
     return CpDesignReport(
         k=k_est.real if k_ok else None,
         r=r_est.real if r_ok else None,

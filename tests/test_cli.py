@@ -702,11 +702,13 @@ def test_hom_check_refuses_an_outer_residual_beyond_binary64(tmp_path, capsys):
                   "exceeds binary64\n"
 
 
-def test_catalog_list(capsys):
-    code, out, _ = run(capsys, "catalog", "--list")
-    assert code == 0
-    assert out.split() == ["complete-3-2", "cp-k2r2", "fano", "mub-2-2",
-                           "mub-3-4", "pg2-3", "pg2-5"]
+def test_catalog_list(tmp_path, capsys):
+    names = "complete-3-2\ncp-k2r2\nfano\nmub-2-2\nmub-3-4\npg2-3\npg2-5\n"
+    assert run(capsys, "catalog", "--list") == (0, names, "")
+    # -o writes the same bytes to the file and nothing to stdout.
+    out_path = tmp_path / "names.txt"
+    assert run(capsys, "catalog", "--list", "-o", str(out_path)) == (0, "", "")
+    assert out_path.read_bytes() == names.encode()
 
 
 def test_catalog_refuses_a_name_together_with_list(capsys):

@@ -615,7 +615,9 @@ def test_trace_functional_matches_choi_partial_trace_on_random_maps():
     assert len(verdicts) == 8
 
 
-def test_lam_search_matches_full_matrix_reference_exactly():
+def test_lam_fit_is_no_worse_than_the_full_matrix_ternary_reference():
+    # The closed form minimises exactly; the ternary search stops within
+    # rounding of the minimum.  Slack: 4 ulp of the largest entry of m m^dagger.
     rng = np.random.default_rng(1209)
     maps = [mixed_unitary_channel(n, rng) for n in range(2, 9)]
     maps += [classical_to_cp(gen_projective_plane(d)) for d in (2, 3, 5)]
@@ -623,10 +625,106 @@ def test_lam_search_matches_full_matrix_reference_exactly():
     maps += [quantum_design_to_cp(functor_q(gen_projective_plane(d))) for d in (2, 3)]
     maps += [quantum_design_to_cp(mub_verify(mub_generate(d, d + 1)).design) for d in (2, 3, 5)]
     maps.append(superop_from_choi(ComplexMatrix(K2R2_4X4), 2, 2))
+    balanced = 0
     for f in maps:
         rep = verify_cp_design(f)
         assert rep.r is not None
-        assert (rep.lam, rep.lam_residual) == full_matrix_lam_search(f)
+        ref_lam, ref_res = full_matrix_lam_search(f)
+        top = float(np.abs(f.m.a @ f.m.a.conj().T).max())
+        assert rep.lam_residual <= ref_res + 4 * np.finfo(float).eps * max(1.0, top)
+        if rep.lam_balanced:
+            # A balanced map has one lam at residual 0, which both find.
+            assert rep.lam == pytest.approx(ref_lam, abs=1e-9)
+            balanced += 1
+    assert balanced == 6
+
+
+def brute_force_balance(base, shape, fixed):
+    # Reference: the minimiser is the real part of one entry's c or the point
+    # equidistant from two of them, so try every such candidate over every entry.
+    c = base * shape
+    cands = set(c.real.tolist())
+    for i in range(len(c)):
+        for j in range(i):
+            if c[i].real != c[j].real:
+                cands.add((abs(c[i]) ** 2 - abs(c[j]) ** 2) / (2 * (c[i].real - c[j].real)))
+    moving = {t: float(np.abs(base - t * shape).max()) for t in cands}
+    lam = min(moving, key=moving.get)
+    return lam, moving[lam], max(fixed, min(moving.values()))
+
+
+def balance_inputs(rng, count):
+    # 1-12 moving entries each: complex, all real, on a coarse grid (ties of
+    # Re c and repeated points), with +1, -1 or mixed shape and with fixed
+    # entries absent, minor or dominant.
+    for i in range(count):
+        e = 1 + i % 12
+        z = rng.normal(size=e) * 10.0 ** rng.integers(-3, 4)
+        kind = i // 12 % 3
+        if kind == 0:
+            z = z + 1j * rng.normal(size=e) * 10.0 ** rng.integers(-3, 4)
+        elif kind == 2:
+            z = rng.integers(-2, 3, size=e) + 1j * rng.integers(-2, 3, size=e)
+        shape = [np.ones(e), -np.ones(e), rng.choice([-1.0, 1.0], size=e)][i // 36 % 3]
+        top = float(np.abs(z).max())
+        fixed = [0.0, 0.5 * top, 3.0 * top][i // 108 % 3]
+        yield z.astype(np.complex128), shape, fixed
+
+
+def test_balance_fit_matches_the_brute_force_minimum():
+    rng = np.random.default_rng(18)
+    eps = np.finfo(float).eps
+    kinds = set()
+    for base, shape, fixed in balance_inputs(rng, 1296):
+        lam, res = cpmaps._balance_fit(base, shape, fixed)
+        ref_lam, ref_moving, ref_res = brute_force_balance(base, shape, fixed)
+        top = float(np.abs(base).max())
+        # The residual of the moving part is the minimum, and lam its minimiser:
+        # |c - t|^2 grows at least as (t - lam)^2 away from lam.
+        moving = float(np.abs(base - lam * shape).max())
+        assert abs(moving - ref_moving) <= 4 * eps * top
+        assert abs(lam - ref_lam) <= 1e-7 * top
+        assert res == max(fixed, moving)
+        assert abs(res - ref_res) <= 4 * eps * top
+        kinds.add((len(base), bool(np.any(base.imag)), tuple(sorted(set(shape)))))
+    assert {k[0] for k in kinds} == set(range(1, 13))
+    assert {k[1:] for k in kinds if k[0] > 1} == {
+        (imag, signs) for imag in (False, True) for signs in ((-1.0,), (1.0,), (-1.0, 1.0))}
+
+
+def test_balance_fit_single_entries_and_ties_are_exact():
+    # One entry: the centre is its real part.
+    assert cpmaps._balance_fit(np.array([3.0 + 4.0j]), np.array([-1.0]), 0.0) == (-3.0, 4.0)
+    # A repeated point and a tie of Re c: the highest point of the tie decides.
+    base = np.array([1.0 + 2.0j, 1.0 + 2.0j, 1.0 - 5.0j, 5.0 + 0.0j])
+    lam, res = cpmaps._balance_fit(base, np.ones(4), 0.0)
+    ref_lam, ref_moving, _ = brute_force_balance(base, np.ones(4), 0.0)
+    assert (lam, res) == (ref_lam, ref_moving)
+    # No moving entry, or only zeros: lam is 0 and the fixed entries stay.
+    assert cpmaps._balance_fit(np.zeros(0, np.complex128), np.zeros(0), 2.5) == (0.0, 2.5)
+    assert cpmaps._balance_fit(np.zeros(3, np.complex128), np.ones(3), 0.0) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("s", [1.0, 2.0 ** 20, 1e100])
+def test_fixed_dominated_map_reports_the_moving_minimiser(s):
+    # m m^T = [[16, 8], [8, 8]] s^2 and r = 4 s.  The off-diagonal 8 s^2 moves
+    # with lam; the diagonal of m m^T - r I is fixed and reaches 16 s^2 - 4 s,
+    # more than the moving part at any lam near 8 s^2.  The report gives the one
+    # minimiser of the moving part, whatever the bracket max|m m^dagger| + |r| + 1.
+    f = CpMap(Algebra.commutative(2), Algebra.commutative(2),
+              ComplexMatrix(np.array([[4.0, 0.0], [2.0, 2.0]]) * s))
+    rep = verify_cp_design(f)
+    assert rep.r == 4.0 * s
+    assert rep.lam == 8.0 * s * s
+    assert rep.lam_residual == 16.0 * s * s - 4.0 * s
+    assert not rep.lam_balanced
+
+
+def test_a_map_onto_one_coordinate_reports_lam_zero():
+    # Commutative(1) has no moving entry: w w^dagger - I = 0.
+    f = CpMap(Algebra.commutative(3), Algebra.commutative(1), ComplexMatrix([[1.0, 2.0, 3.0]]))
+    rep = verify_cp_design(f)
+    assert (rep.r, rep.lam, rep.lam_residual) == (6.0, 0.0, 8.0)
 
 
 def diag_selector(n):

@@ -63,6 +63,17 @@ def test_a_name_loads_only_the_module_that_declares_it():
     assert [m for m in loaded if m.startswith("designkit")] == ["designkit", "designkit.linalg"]
 
 
+def test_verify_cpmap_leaves_numpy_ma_unloaded(tmp_path):
+    # numpy.ma adds to start-up, and np.unique(..., axis=0) imports it on first use.
+    path = tmp_path / "cp.json"
+    path.write_text(designkit.catalog_text("cp-k2r2"), encoding="utf-8")
+    loaded = fresh_modules("import contextlib, io\nfrom designkit.cli import main\n"
+                           "with contextlib.redirect_stdout(io.StringIO()):\n"
+                           f"    assert main(['verify-cpmap', {str(path)!r}, '--json']) == 0")
+    assert "designkit.cpmaps" in loaded
+    assert "numpy.ma" not in loaded
+
+
 def test_the_package_exports_the_module_lists_in_module_order():
     assert sorted(MODULES) == sorted(["designkit", "designkit.cli"]
                                      + [f"designkit.{stem}" for stem in EXPORTING])
