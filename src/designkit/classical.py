@@ -270,7 +270,7 @@ _SEARCH_MAX_BLOCKS = 512
 
 
 def _check_size(size: int, formula: str, unit: str, limit: int = _COMPLETE_MAX_CELLS) -> None:
-    """Refuse to build more than ``limit`` cells or entries."""
+    """Refuse to build more than ``limit`` cells, entries or blocks."""
     if size > limit:
         raise ValueError(f"{formula} = {size} exceeds the limit of {limit} {unit}")
 
@@ -286,9 +286,7 @@ def gen_projective_plane(order: int) -> ClassicalDesign:
     """
     d = _as_int(order, "order")
     # Before the prime test too, whose trial division is slow for a huge d.
-    if (d * d + d + 1) ** 2 > _COMPLETE_MAX_CELLS:
-        raise ValueError(f"(d^2+d+1)^2 exceeds the limit of {_COMPLETE_MAX_CELLS} "
-                         f"incidence cells for d={d}")
+    _check_size((d * d + d + 1) ** 2, "(d^2+d+1)^2", "incidence cells", _COMPLETE_MAX_CELLS)
     if not _is_prime(d):
         raise ValueError(f"order {d} is not prime")
     triples = np.indices((d, d, d)).reshape(3, -1).T  # lexicographic order
@@ -416,8 +414,7 @@ def search_designs(
         # Only the all-zero design fits: the prechecks force r = 0, and lam = 0 for v >= 2.
         _check_size(v * b, "v*b", "incidence cells")
         return [ClassicalDesign(NatMatrix._raw(np.zeros((v, b), dtype=np.int64)))]
-    if b > _SEARCH_MAX_BLOCKS:
-        raise ValueError(f"b={b} exceeds the search limit of {_SEARCH_MAX_BLOCKS} blocks")
+    _check_size(b, "b", "blocks", _SEARCH_MAX_BLOCKS)
     subsets = list(itertools.combinations(range(v), k))
     grid = np.fromiter(itertools.chain.from_iterable(subsets), np.intp).reshape(-1, k)
     i, j = zip(*itertools.combinations_with_replacement(range(k), 2))

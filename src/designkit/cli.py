@@ -53,7 +53,7 @@ from .cpmaps import (
     superop_from_choi,
     verify_cp_design,
 )
-from .linalg import Tolerance
+from .linalg import DEFAULT_TOL, Tolerance
 from .quantum import (
     QuantumDesign,
     classify_quantum,
@@ -98,13 +98,14 @@ def _emit(args, command: str, digest: str, subject: dict, parameters: dict,
     """Write a design-report/1 document as JSON or as lines; return the exit code."""
     passed = all(c["passed"] for c in checks)
     if args.json:
+        tol = getattr(args, "tol", DEFAULT_TOL)  # an exact command takes none
         sys.stdout.write(canonical_json({
             "schema": SCHEMA_REPORT,
             "tool": "designkit",
             "tool_version": __version__,
             "command": command,
             "input_digest": digest,
-            "tolerance": {"abs_eps": args.abs_eps, "rel_eps": args.rel_eps},
+            "tolerance": {"abs_eps": tol.abs_eps, "rel_eps": tol.rel_eps},
             "subject": subject,
             "parameters": parameters,
             "checks": checks,
@@ -286,10 +287,9 @@ def cmd_generate(args) -> int:
 def cmd_convert(args) -> int:
     text = _read_text(args.file)
     if args.direction == "c2q":
-        design = _load_as(text, ClassicalDesign, "classical-design/1")
+        out = functor_q(_load_as(text, ClassicalDesign, "classical-design/1"))
     else:
-        design = _load_as(text, QuantumDesign, "quantum-design/1")
-    out = functor_q(design) if args.direction == "c2q" else to_classical(design, args.tol)
+        out = to_classical(_load_as(text, QuantumDesign, "quantum-design/1"), args.tol)
     _write_text(args.output, dumps(out))
     return EXIT_OK
 
@@ -429,9 +429,9 @@ def cmd_catalog(args) -> int:
 
 
 def _add_tol_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--abs-eps", type=float, default=1e-9,
+    p.add_argument("--abs-eps", type=float, default=DEFAULT_TOL.abs_eps,
                    help="absolute comparison slack (default 1e-9)")
-    p.add_argument("--rel-eps", type=float, default=1e-9,
+    p.add_argument("--rel-eps", type=float, default=DEFAULT_TOL.rel_eps,
                    help="relative comparison slack (default 1e-9)")
 
 
@@ -453,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--block", action="store_true",
                    help="require k, r and lambda to be present")
-    _add_tol_args(p)
     _add_json_arg(p)
     p.set_defaults(handler=cmd_verify_classical)
 
@@ -514,7 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--canonical", action="store_true",
                    help="one representative per column ordering")
-    _add_tol_args(p)
     _add_json_arg(p)
     p.set_defaults(handler=cmd_search)
 
@@ -523,7 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dst")
     p.add_argument("--fv", required=True, help="point images, 0-based, space-separated")
     p.add_argument("--fb", required=True, help="block images, 0-based, space-separated")
-    _add_tol_args(p)
     _add_json_arg(p)
     p.set_defaults(handler=cmd_hom_check)
 

@@ -443,7 +443,7 @@ def verify_cp_design(f: CpMap, tol: Tolerance = DEFAULT_TOL) -> CpDesignReport:
         span = float(np.abs(gram).max(initial=0.0)) + abs(r_est.real) + 1.0
         bound = float(np.finfo(np.float64).max) / 2.0  # keeps every |base - lam shape| finite
         if not span <= bound:
-            raise ValueError(f"lambda search bound max|m m^dagger| + |r| + 1 = {span!r} "
+            raise ValueError(f"lambda balance bound max|m m^dagger| + |r| + 1 = {span!r} "
                              f"exceeds {bound!r}, half the binary64 range")
         lam, lam_res = _balance_fit(base[moving], shape[moving].real, fixed)
     return CpDesignReport(

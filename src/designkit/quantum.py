@@ -418,9 +418,7 @@ def mub_generate(d: int, k: int) -> MubFamily:
     """
     # At least one basis, and before the prime test, whose trial division is
     # slow for a huge d.
-    if max(k, 1) * d**3 > _COMPLETE_MAX_CELLS:
-        raise ValueError(f"k*d^3 exceeds the limit of {_COMPLETE_MAX_CELLS} projector entries "
-                         f"for d={d}, k={k}")
+    _check_size(max(k, 1) * d**3, "max(k,1)*d^3", "projector entries", _COMPLETE_MAX_CELLS)
     if not _is_prime(d):
         raise ValueError(f"dimension {d} is not prime")
     if not 1 <= k <= d + 1:

@@ -250,7 +250,8 @@ def test_projective_plane_size_guard_is_exact(monkeypatch):
 
     monkeypatch.setattr(classical, "_COMPLETE_MAX_CELLS", 13 * 13)
     assert gen_projective_plane(3).v == 13
-    with pytest.raises(ValueError, match="limit of 169 incidence cells for d=5"):
+    with pytest.raises(ValueError, match=r"^\(d\^2\+d\+1\)\^2 = 961 exceeds the limit of 169 "
+                       "incidence cells$"):
         gen_projective_plane(5)
 
 
@@ -258,7 +259,9 @@ def test_projective_plane_refuses_oversized_orders_at_once():
     start = time.perf_counter()
     # 10**18 + 9 is refused before a trial division up to 10**9 could start.
     for order in (37, 10**18 + 9):
-        with pytest.raises(ValueError, match=f"1000000 incidence cells for d={order}$"):
+        size = (order * order + order + 1) ** 2
+        with pytest.raises(ValueError, match=rf"^\(d\^2\+d\+1\)\^2 = {size} exceeds the limit "
+                           "of 1000000 incidence cells$"):
             gen_projective_plane(order)
     assert time.perf_counter() - start < 0.1
 
@@ -359,7 +362,7 @@ def test_search_block_guard_is_exact(monkeypatch):
 
     monkeypatch.setattr(classical, "_SEARCH_MAX_BLOCKS", 6)
     assert len(search_designs(2, 6, 1, 3, 0, limit=1)) == 1
-    with pytest.raises(ValueError, match="b=8 exceeds the search limit of 6 blocks"):
+    with pytest.raises(ValueError, match="^b = 8 exceeds the limit of 6 blocks$"):
         search_designs(2, 8, 1, 4, 0, limit=1)
     with pytest.raises(InfeasibleParametersError):
         search_designs(2, 8, 1, 3, 0)  # infeasible still comes first

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import io
 import json
@@ -282,7 +283,7 @@ def test_generate_projective_plane_rejects_oversized_order_at_once(capsys):
     code, out, err = run(capsys, "generate", "projective-plane", "--order", "37")
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
-    assert err == "error: (d^2+d+1)^2 exceeds the limit of 1000000 incidence cells for d=37\n"
+    assert err == "error: (d^2+d+1)^2 = 1979649 exceeds the limit of 1000000 incidence cells\n"
 
 
 @pytest.mark.parametrize("dim, count", [(2, 1), (2, 3), (3, 4), (5, 6), (7, 3)])
@@ -304,7 +305,8 @@ def test_generate_mub_rejects_oversized_request_at_once(capsys):
     code, out, err = run(capsys, "generate", "mub", "--dim", "37", "--count", "27")
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
-    assert err == "error: k*d^3 exceeds the limit of 1000000 projector entries for d=37, k=27\n"
+    assert err == ("error: max(k,1)*d^3 = 1367631 exceeds the limit of 1000000 "
+                   "projector entries\n")
 
 
 def test_convert_round_trip_preserves_block_multiset(fano_file, tmp_path, capsys):
@@ -499,7 +501,7 @@ def test_search_refuses_oversized_candidate_set(capsys):
 def test_search_refuses_more_blocks_than_it_can_recurse_through(capsys):
     code, out, err = run(capsys, "search", "--v", "2", "--b", "2000", "--k", "1",
                          "--r", "1000", "--lambda", "0", "--limit", "1", "--json")
-    assert (code, out, err) == (2, "", "error: b=2000 exceeds the search limit of 512 blocks\n")
+    assert (code, out, err) == (2, "", "error: b = 2000 exceeds the limit of 512 blocks\n")
 
 
 def test_requests_in_one_process_do_not_share_state(capsys):
@@ -617,21 +619,6 @@ HOM_CHECK_BLOCK_MERGE = (
     '"tolerance":{"abs_eps":1e-09,"rel_eps":1e-09},"tool":"designkit","tool_version":"0.1.0"}\n'
 )
 
-# The block merge under --abs-eps 1: the lift verdict is exact, so an integer
-# witness of 1 still fails.
-HOM_CHECK_BLOCK_MERGE_ABS_EPS_1 = (
-    '{"checks":[{"cell":null,"lhs":null,"name":"homomorphism square","passed":true,"rhs":null}],'
-    '"command":"hom-check",'
-    '"input_digest":"sha256:d0aa2bed14f6fccb7bb135aa5c857e1ebab2515b86aaa994558a37c79c348f06+'
-    'sha256:dca436f6a6f59f232bc74c9a3b0af87156f382a4003fe088271010c9fddf2f5f",'
-    '"notes":["indices are 0-based",'
-    '"lift_residuals.outer is nonzero for non-injective block maps; informational"],'
-    '"parameters":{"dst":{"b":2,"v":2},"f_b":[0,0,1],"f_v":[0,1],'
-    '"lift_residuals":{"all_within_tolerance":false,"embedding":0.0,"hom":0.0,"outer":1.0},'
-    '"src":{"b":3,"v":2}},"passed":true,"schema":"design-report/1","subject":{"type":"hom"},'
-    '"tolerance":{"abs_eps":1.0,"rel_eps":1e-09},"tool":"designkit","tool_version":"0.1.0"}\n'
-)
-
 
 def relabelled_pg2_3():
     plane = gen_projective_plane(3)
@@ -659,11 +646,16 @@ def test_hom_check_json_bytes_are_pinned(tmp_path, capsys, case):
         dst = dumps(ClassicalDesign.from_rows([[1, 0], [0, 1]]))
         f_v, f_b, want = [0, 1], [0, 0, 1], HOM_CHECK_BLOCK_MERGE
         if case == "merge-abs-eps-1":
-            extra, want = ["--abs-eps", "1"], HOM_CHECK_BLOCK_MERGE_ABS_EPS_1
+            # The lift verdict is exact, so hom-check takes no tolerance to loosen it.
+            extra = ["--abs-eps", "1"]
     code, out, err = run(capsys, "hom-check", write(tmp_path, "src.json", src),
                          write(tmp_path, "dst.json", dst), "--fv", " ".join(map(str, f_v)),
                          "--fb", " ".join(map(str, f_b)), "--json", *extra)
-    assert (code, out, err) == (0, want, "")
+    if extra:
+        assert (code, out) == (2, "")
+        assert err.endswith("error: unrecognized arguments: --abs-eps 1\n")
+    else:
+        assert (code, out, err) == (0, want, "")
 
 
 def test_hom_check_proves_the_square_once(tmp_path, capsys, monkeypatch, fano_file):
@@ -755,18 +747,55 @@ def test_no_arguments_is_usage_error(capsys):
     assert "usage" in err.lower()
 
 
-def test_malformed_tolerance_is_usage_error(fano_file, tmp_path, capsys):
+def test_malformed_tolerance_is_usage_error(tmp_path, capsys):
     # Text mode, where an unchecked inf or nan would print a passing report.
+    mub = write(tmp_path, "mub.json", catalog_text("mub-2-2"))
     commands = [
-        ["verify-classical", fano_file],
-        ["verify-quantum", write(tmp_path, "mub.json", catalog_text("mub-2-2"))],
-        ["search", "--v", "7", "--b", "7", "--k", "3", "--r", "3", "--lambda", "1"],
+        ["verify-cpmap", write(tmp_path, "cp.json", catalog_text("cp-k2r2"))],
+        ["verify-quantum", mub],
+        ["convert", "q2c", mub],
     ]
     for argv in commands:
         for value in ["garbage", "-1", "nan", "inf"]:
             code, out, err = run(capsys, *argv, f"--abs-eps={value}")
             assert (argv[0], value, code, out) == (argv[0], value, 2, "")
             assert "error" in err
+            assert "unrecognized arguments" not in err
+
+
+def _subparsers(parser):
+    """Each subcommand's parser by its full name, nested ones included."""
+    found = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found[name] = sub
+                found.update({f"{name} {k}": v for k, v in _subparsers(sub).items()})
+    return found
+
+
+def test_only_the_commands_a_tolerance_can_change_take_one():
+    takes = {
+        flag: {name for name, sub in _subparsers(cli.build_parser()).items()
+               if any(flag in a.option_strings for a in sub._actions)}
+        for flag in ("--abs-eps", "--rel-eps")
+    }
+    inexact = {"verify-quantum", "verify-cpmap", "convert", "tensor"}
+    assert takes == {"--abs-eps": inexact, "--rel-eps": inexact}
+
+
+@pytest.mark.parametrize("flag", [["--abs-eps", "1"], ["--rel-eps", "0"]])
+@pytest.mark.parametrize("command", ["verify-classical", "search", "hom-check"])
+def test_exact_commands_refuse_a_tolerance(fano_file, capsys, command, flag):
+    argv = {
+        "verify-classical": [fano_file],
+        "search": ["--v", "7", "--b", "7", "--k", "3", "--r", "3", "--lambda", "1"],
+        "hom-check": [fano_file, fano_file, "--fv", "0 1 2 3 4 5 6", "--fb", "0 1 2 3 4 5 6"],
+    }[command]
+    for mode in ([], ["--json"]):
+        code, out, err = run(capsys, command, *argv, *mode, *flag)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: unrecognized arguments: {' '.join(flag)}\n")
 
 
 def test_malformed_json_file_is_usage_error(tmp_path, capsys):

@@ -243,9 +243,9 @@ def test_hom_check_of_the_tall_identity_scatters_by_index(tmp_path, capsys):
 @pytest.mark.parametrize("name", ["c1", "c2-diag"])
 def test_lambda_search_refuses_a_bracket_beyond_binary64(tmp_path, capsys, name, mode):
     # [[1e154]] on Commutative(1) and diag(1e154, 1e154) on Commutative(2) are
-    # regular with r = 1e154, and max|m m^dagger| = 1e308 puts the search's
-    # bracket width 2e308 beyond binary64: exit 2 naming the bound, with no
-    # NaN and no numpy warning.
+    # regular with r = 1e154, and max|m m^dagger| = 1e308 puts the balance
+    # bound max|m m^dagger| + |r| + 1 past half the binary64 range: exit 2
+    # naming the bound, with no NaN and no numpy warning.
     path = tmp_path / f"{name}.json"
     path.write_text(dumps(float_documents(1e154)[name]), encoding="utf-8")
     with warnings.catch_warnings():
@@ -253,5 +253,5 @@ def test_lambda_search_refuses_a_bracket_beyond_binary64(tmp_path, capsys, name,
         code = main(["verify-cpmap", str(path), *mode])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert captured.err == ("error: lambda search bound max|m m^dagger| + |r| + 1 = 1e+308 "
+    assert captured.err == ("error: lambda balance bound max|m m^dagger| + |r| + 1 = 1e+308 "
                             "exceeds 8.988465674311579e+307, half the binary64 range\n")
