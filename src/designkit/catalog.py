@@ -13,8 +13,12 @@ trailing newline, shortest round-trip rendering of binary64):
 
 Parsing is strict: wrong schema, ragged rows, unexpected types, non-finite
 numbers and integers beyond binary64 all raise :class:`FormatError` with a
-position.  Each matrix is checked and converted in bulk; only a refused
-matrix is walked entry by entry, to find the position of its first fault.
+position.  Each matrix is checked and converted in bulk: one type scan, then
+one numpy conversion, with the sign or finiteness checked on the converted
+array.  A projector family converts in batches of whole projectors.  Only a
+refused matrix or batch is walked, projector by projector and entry by
+entry, to find the position of its first fault.  Rendering skips json's
+cycle check, because every value rendered is a tree this package built.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 from .classical import ClassicalDesign
 from .cpmaps import COMMUTATIVE, MATRIX, Algebra, CpMap
 from .linalg import ComplexMatrix, NatMatrix
-from .quantum import QuantumDesign
+from .quantum import QuantumDesign, _batch_size
 
 __all__ = [
     "SCHEMA_CLASSICAL",
@@ -66,8 +70,15 @@ class FormatError(ValueError):
 
 
 def canonical_json(doc) -> str:
-    """Render a JSON-compatible value canonically (deterministic bytes)."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    """Render a JSON-compatible value canonically (deterministic bytes).
+
+    ``doc`` must be acyclic: json's per-container cycle check is skipped, so a
+    cycle ends in RecursionError.  Every value designkit renders is a tree it
+    built itself, and the check took about a third of rendering a large
+    projector family.
+    """
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False,
+                      check_circular=False) + "\n"
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -138,7 +149,7 @@ def _complex_rows(rows, nrows: int, ncols: int, where: str) -> np.ndarray:
     leaves = _entries(_entries(rows, nrows, ncols), nrows * ncols, 2)
     if leaves is not None and _only(leaves, (int, float)):
         try:
-            re_im = np.array(leaves, dtype=np.float64)
+            re_im = np.fromiter(leaves, np.float64, count=len(leaves))
         except OverflowError:  # an integer literal beyond binary64
             pass
         else:
@@ -168,8 +179,11 @@ def classical_from_doc(doc: dict) -> ClassicalDesign:
     _require(v >= 1 and b >= 1, "v and b must be >= 1")
     rows = _get(doc, "incidence", "document")
     entries = _entries(rows, v, b)
-    if entries is not None and _only(entries, int) and min(entries) >= 0:
-        return ClassicalDesign(NatMatrix._from_ints(entries, (v, b)))
+    # The type scan comes first: numpy would truncate 1.5 and take True or "1".
+    if entries is not None and _only(entries, int):
+        m = NatMatrix._from_ints(entries, (v, b))  # None if some entry is negative
+        if m is not None:
+            return ClassicalDesign(m)
     _rows_error(rows, v, b, "incidence", _nat)
 
 
@@ -194,8 +208,16 @@ def quantum_from_doc(doc: dict) -> QuantumDesign:
         for i, p in enumerate(raw):
             _complex_rows(p, dim, dim, f"projectors[{i}]")
     stack = np.empty((len(raw), dim, dim), dtype=np.complex128)
-    for i, p in enumerate(raw):
-        stack[i] = _complex_rows(p, dim, dim, f"projectors[{i}]")
+    step = _batch_size(dim)
+    for lo in range(0, len(raw), step):
+        batch = stack[lo : lo + step]
+        try:  # the batch's rows, one after another, as one (len(batch) * dim) x dim matrix
+            batch[:] = _complex_rows(rows[lo * dim : (lo + step) * dim], len(batch) * dim, dim,
+                                     "projectors").reshape(batch.shape)
+        except FormatError:  # name the first refused projector, not the batch
+            for i in range(lo, lo + len(batch)):
+                _complex_rows(raw[i], dim, dim, f"projectors[{i}]")
+            raise
     return QuantumDesign._from_stack(stack)
 
 

@@ -284,12 +284,19 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _refuse_tolerance(args, operation: str) -> None:
+    """An exact operation of a command that takes a tolerance refuses an explicit one."""
+    if args.abs_eps is not None or args.rel_eps is not None:
+        raise ValueError(f"{operation} is exact and takes no --abs-eps or --rel-eps")
+
+
 def cmd_convert(args) -> int:
-    text = _read_text(args.file)
     if args.direction == "c2q":
-        out = functor_q(_load_as(text, ClassicalDesign, "classical-design/1"))
+        _refuse_tolerance(args, "convert c2q")
+        out = functor_q(_load_as(_read_text(args.file), ClassicalDesign, "classical-design/1"))
     else:
-        out = to_classical(_load_as(text, QuantumDesign, "quantum-design/1"), args.tol)
+        out = to_classical(_load_as(_read_text(args.file), QuantumDesign, "quantum-design/1"),
+                           args.tol)
     _write_text(args.output, dumps(out))
     return EXIT_OK
 
@@ -298,6 +305,7 @@ def cmd_tensor(args) -> int:
     a = loads(_read_text(args.file1))
     b = loads(_read_text(args.file2))
     if isinstance(a, ClassicalDesign) and isinstance(b, ClassicalDesign):
+        _refuse_tolerance(args, "classical tensor")
         out = tensor_designs(a, b)
     elif isinstance(a, QuantumDesign) and isinstance(b, QuantumDesign):
         out = tensor_q(a, b, args.tol)
@@ -429,9 +437,10 @@ def cmd_catalog(args) -> int:
 
 
 def _add_tol_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--abs-eps", type=float, default=DEFAULT_TOL.abs_eps,
+    # None when not given, so that an exact operation can refuse an explicit value.
+    p.add_argument("--abs-eps", type=float, default=None,
                    help="absolute comparison slack (default 1e-9)")
-    p.add_argument("--rel-eps", type=float, default=DEFAULT_TOL.rel_eps,
+    p.add_argument("--rel-eps", type=float, default=None,
                    help="relative comparison slack (default 1e-9)")
 
 
@@ -544,7 +553,10 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         if hasattr(args, "abs_eps"):
-            args.tol = Tolerance(abs_eps=args.abs_eps, rel_eps=args.rel_eps)
+            args.tol = Tolerance(
+                abs_eps=DEFAULT_TOL.abs_eps if args.abs_eps is None else args.abs_eps,
+                rel_eps=DEFAULT_TOL.rel_eps if args.rel_eps is None else args.rel_eps,
+            )
         return args.handler(args)
     except CheckFailed as exc:
         print(f"error: {exc}", file=sys.stderr)

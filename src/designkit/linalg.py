@@ -134,17 +134,22 @@ class NatMatrix:
             if len(r) != ncols:
                 raise ValueError(f"row {i} has {len(r)} entries, expected {ncols}")
         flat = list(chain.from_iterable(rows))
-        if set(map(type, flat)) != {int} or min(flat) < 0:
-            flat = list(map(_as_nat, flat))  # refuses the first bad entry by name
-        self.a = self._from_ints(flat, (len(rows), ncols)).a
+        shape = (len(rows), ncols)
+        m = self._from_ints(flat, shape) if set(map(type, flat)) == {int} else None
+        if m is None:
+            m = self._from_ints(list(map(_as_nat, flat)), shape)  # names the first bad entry
+        self.a = m.a
 
     @classmethod
-    def _from_ints(cls, ints: list[int], shape: tuple[int, int]) -> "NatMatrix":
-        # Internal: nonnegative Python ints in row-major order.
+    def _from_ints(cls, ints: list[int], shape: tuple[int, int]) -> "NatMatrix | None":
+        # Internal: Python ints in row-major order, converted in one pass and
+        # checked for sign on the array; None if some entry is negative.
         try:
-            a = np.array(ints, dtype=np.int64)
-        except OverflowError:  # some entry is 2**63 or more
+            a = np.fromiter(ints, np.int64, count=len(ints))
+        except OverflowError:  # some entry is outside int64
             a = np.array(ints, dtype=object)
+        if a.min() < 0:
+            return None
         return cls._raw(a.reshape(shape))
 
     @classmethod

@@ -27,7 +27,7 @@ from designkit.catalog import (
 from designkit.classical import ClassicalDesign, classify, gen_complete, gen_projective_plane
 from designkit.cpmaps import Algebra, CpMap, verify_cp_design
 from designkit.linalg import DEFAULT_TOL, ComplexMatrix, NatMatrix
-from designkit.quantum import QuantumDesign, classify_quantum, mub_generate, mub_verify
+from designkit.quantum import QuantumDesign, _batch_size, classify_quantum, mub_generate, mub_verify
 from test_properties import assert_nat_storage
 
 
@@ -390,9 +390,17 @@ def _same_value(a, b) -> bool:
 _ODD_VALUES = [
     True, False, None, "1", "0.5", "", [], [0], [0, 0], [[0.5, 0.0]], {},
     float("nan"), float("inf"), float("-inf"), "@1e400@", -0.0, 0.0, -1, 0, 1, 2, 0.5,
-    1.0, -2.5e-300, 5e-324, 2**53 + 1, 2**63, 2**64 + 3, 10**400, -(10**400),
-    2**1024 - 2**970, 2**1024 - 2**971, 1e308, -1.7976931348623157e308,
+    1.0, -2.5e-300, 5e-324, 2**53 + 1, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64 + 3,
+    10**400, -(10**400), 2**1024 - 2**970, 2**1024 - 2**971, 1e308, -1.7976931348623157e308,
 ]
+
+
+def _random_matrix(rng, nrows, ncols):
+    vals = rng.standard_normal((nrows, ncols, 2)) * 10.0 ** rng.integers(-5, 5)
+    out = vals.tolist()
+    if rng.random() < 0.3:  # integer literals, as hand-written documents have
+        out[rng.integers(nrows)][rng.integers(ncols)] = [int(rng.integers(-9, 9)), 0]
+    return out
 
 
 def _random_valid_doc(rng):
@@ -403,19 +411,11 @@ def _random_valid_doc(rng):
         if rng.random() < 0.2:
             chi[rng.integers(v)][rng.integers(b)] = 2**64 + int(rng.integers(100))
         return {"schema": "classical-design/1", "v": v, "b": b, "incidence": chi}
-
-    def matrix(nrows, ncols):
-        vals = rng.standard_normal((nrows, ncols, 2)) * 10.0 ** rng.integers(-5, 5)
-        out = vals.tolist()
-        if rng.random() < 0.3:  # integer literals, as hand-written documents have
-            out[rng.integers(nrows)][rng.integers(ncols)] = [int(rng.integers(-9, 9)), 0]
-        return out
-
     if kind == 1:
         dim = int(rng.integers(1, 4))
         count = int(rng.integers(1, 4))
         return {"schema": "quantum-design/1", "dim": dim,
-                "projectors": [matrix(dim, dim) for _ in range(count)]}
+                "projectors": [_random_matrix(rng, dim, dim) for _ in range(count)]}
     algs = []
     for _ in range(2):
         k = ("commutative", "matrix")[rng.integers(2)]
@@ -423,7 +423,7 @@ def _random_valid_doc(rng):
         algs.append(({"kind": k, "n": n}, n * n if k == "matrix" else n))
     (alg_in, d_in), (alg_out, d_out) = algs
     return {"schema": "cp-map/1", "convention": "superoperator", "in": alg_in,
-            "out": alg_out, "matrix": matrix(d_out, d_in)}
+            "out": alg_out, "matrix": _random_matrix(rng, d_out, d_in)}
 
 
 def _matrices(doc):
@@ -434,10 +434,10 @@ def _matrices(doc):
     return [doc["matrix"]]
 
 
-def _mutate(doc, rng) -> str:
-    """Spoil one place of one matrix; returns a short name of what was done."""
+def _mutate(doc, rng, which=None) -> str:
+    """Spoil one place of the which-th matrix, or of a random one; returns what was done."""
     mats = _matrices(doc)
-    rows = mats[rng.integers(len(mats))]
+    rows = mats[rng.integers(len(mats)) if which is None else which]
     if not (isinstance(rows, list) and rows):
         return "none"
     i = int(rng.integers(len(rows)))
@@ -473,6 +473,20 @@ _FAULTS = ("number out of binary64 range", "non-finite number", "expected [re, i
            "expected a number", "expected a nonnegative integer", "rows, got", " entries, expected")
 
 
+def _parse_like_the_oracle(doc, monkeypatch) -> str:
+    """Parse doc with loads and with the entry-walk oracle; "ok" or the fault's message."""
+    text = json.dumps(doc).replace('"@1e400@"', "1e400")
+    got = _outcome(loads, text)
+    want = _outcome(lambda t: _oracle_loads(t, monkeypatch), text)
+    assert got[0] == want[0], (text[:2000], got, want)
+    if got[0] == "ok":
+        assert _same_value(got[1], want[1]), text[:2000]
+        return "ok"
+    assert got[0] == "FormatError", (text[:2000], got)
+    assert got[1] == want[1], text[:2000]
+    return got[1]
+
+
 def test_bulk_parser_matches_the_entry_walk_on_seeded_documents(monkeypatch):
     rng = np.random.default_rng(20230)
     outcomes = {"ok": 0}
@@ -482,22 +496,30 @@ def test_bulk_parser_matches_the_entry_walk_on_seeded_documents(monkeypatch):
         if trial % 4:
             for _ in range(int(rng.integers(1, 3))):
                 mutations.add(_mutate(doc, rng))
-        text = json.dumps(doc).replace('"@1e400@"', "1e400")
-        got = _outcome(loads, text)
-        want = _outcome(lambda t: _oracle_loads(t, monkeypatch), text)
-        assert got[0] == want[0], (text, got, want)
-        if got[0] == "ok":
-            assert _same_value(got[1], want[1]), text
-            outcomes["ok"] += 1
-        else:
-            assert got[0] == "FormatError", (text, got)
-            assert got[1] == want[1], text
-            kind = next(k for k in _FAULTS if k in got[1])
-            outcomes[kind] = outcomes.get(kind, 0) + 1
+        got = _parse_like_the_oracle(doc, monkeypatch)
+        kind = "ok" if got == "ok" else next(k for k in _FAULTS if k in got)
+        outcomes[kind] = outcomes.get(kind, 0) + 1
     assert mutations - {"none"} == {"leaf", "entry", "drop-entry", "add-entry", "drop-row",
                                     "row", "deeper", "short-pair", "long-pair"}
     assert outcomes["ok"] > 400
     assert all(outcomes.get(kind, 0) >= 5 for kind in _FAULTS), outcomes
+
+    # Families that span two decode batches, spoiled in any projector:
+    # a refused batch must still name the projector, not the batch.
+    dim = 64
+    step = _batch_size(dim)
+    assert step == 8
+    named = set()
+    for trial in range(8):
+        count = int(rng.integers(step + 1, step + 5))
+        doc = {"schema": "quantum-design/1", "dim": dim,
+               "projectors": [_random_matrix(rng, dim, dim) for _ in range(count)]}
+        if trial % 4:  # alternately in the first batch and in the last
+            _mutate(doc, rng, int(rng.integers(step) if trial % 2 else rng.integers(step, count)))
+        got = _parse_like_the_oracle(doc, monkeypatch)
+        if got.startswith("projectors["):
+            named.add(int(got[len("projectors["):got.index("]")]) // step)
+    assert named >= {0, 1}, named
 
 
 def _haar(n, rng):

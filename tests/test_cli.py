@@ -20,7 +20,7 @@ from designkit.classical import (
 )
 from designkit.cli import main
 from designkit.cpmaps import Algebra, CpMap
-from designkit.linalg import ComplexMatrix, NatMatrix
+from designkit.linalg import DEFAULT_TOL, ComplexMatrix, NatMatrix
 from designkit.quantum import QuantumDesign, validate
 
 
@@ -796,6 +796,35 @@ def test_exact_commands_refuse_a_tolerance(fano_file, capsys, command, flag):
         code, out, err = run(capsys, command, *argv, *mode, *flag)
         assert (code, out) == (2, "")
         assert err.endswith(f"error: unrecognized arguments: {' '.join(flag)}\n")
+
+
+@pytest.mark.parametrize("flag", [["--abs-eps", "1e-9"], ["--rel-eps", "0"]])
+@pytest.mark.parametrize("operation", ["convert c2q", "classical tensor"])
+def test_exact_operations_refuse_a_tolerance(fano_file, capsys, operation, flag):
+    # convert and tensor take a tolerance for q2c and quantum operands only.
+    argv = {"convert c2q": ["convert", "c2q", fano_file],
+            "classical tensor": ["tensor", fano_file, fano_file]}[operation]
+    code, out, err = run(capsys, *argv, *flag)
+    assert (code, out) == (2, "")
+    assert err == f"error: {operation} is exact and takes no --abs-eps or --rel-eps\n"
+
+
+def test_unset_tolerance_flags_keep_the_default_tolerance(tmp_path, capsys):
+    classical = write(tmp_path, "c.json", catalog_text("complete-3-2"))
+    code, quantum_text, _ = run(capsys, "convert", "c2q", classical)
+    assert code == 0
+    quantum = write(tmp_path, "q.json", quantum_text)
+    abs_eps, rel_eps = DEFAULT_TOL.abs_eps, DEFAULT_TOL.rel_eps
+    for flags, want in (([], (abs_eps, rel_eps)), (["--abs-eps", "0.5"], (0.5, rel_eps)),
+                        (["--rel-eps", "0"], (abs_eps, 0.0))):
+        code, out, _ = run(capsys, "verify-quantum", quantum, "--json", *flags)
+        assert json.loads(out)["tolerance"] == {"abs_eps": want[0], "rel_eps": want[1]}
+    default = ["--abs-eps", repr(abs_eps), "--rel-eps", repr(rel_eps)]
+    for argv in (["convert", "q2c", quantum], ["tensor", quantum, quantum]):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert run(capsys, *argv, *default) == (0, out, "")
+    assert run(capsys, "tensor", classical, classical)[0] == 0
 
 
 def test_malformed_json_file_is_usage_error(tmp_path, capsys):

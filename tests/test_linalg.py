@@ -128,7 +128,9 @@ def test_nat_matrix_names_the_first_bad_entry_of_any_input():
     for entries, bad in (([[1, 2], [3, -4]], "-4"), ([[1, 2.5, -1]], "2.5"),
                          (np.array([[0, 1], [-2, -3]]), "np.int64(-2)"),
                          (np.array([[1.0, 0.5]]), "np.float64(0.5)"),
-                         ([[np.float32(1.0)]], "np.float32(1.0)"), ([[1, "2"]], "'2'")):
+                         ([[np.float32(1.0)]], "np.float32(1.0)"), ([[1, "2"]], "'2'"),
+                         ([[0, -(2**63) - 1]], str(-(2**63) - 1)),
+                         ([[0, -(10**400)]], str(-(10**400)))):
         with pytest.raises(ValueError, match=re.escape(f"entry {bad} is not a nonnegative integer")):
             NatMatrix(entries)
 
@@ -136,6 +138,7 @@ def test_nat_matrix_names_the_first_bad_entry_of_any_input():
 def test_nat_matrix_accepts_integral_floats_and_numpy_ints():
     m = NatMatrix([[np.int64(2), 3.0]])
     assert m.tolist() == [[2, 3]]
+    assert NatMatrix([[True, 2]]).tolist() == [[1, 2]]  # a bool is 0 or 1, as _integral says
 
 
 def test_nat_matrix_arithmetic_is_exact_at_large_magnitude():
