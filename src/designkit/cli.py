@@ -9,59 +9,84 @@ exits 1; any other ValueError or OSError, refused input, exits 2; each
 writes one ``error:`` line to stderr.  ``--json`` switches reports from
 human-readable lines to canonical design-report/1 documents, which are
 byte-identical across runs for identical inputs.
+
+Start-up: ``--version``, ``--help`` and usage errors load no numpy and no
+library module.  The first request that runs a handler imports numpy and
+all five library modules, once per process.  ``catalog`` and classical-only
+requests load them all too: ``catalog`` imports the others at module level,
+and perfbench/tracing.py reads these names from this module and needs
+``quantum`` and ``cpmaps`` loaded, until it can follow later imports.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import operator
 import sys
 
 from . import __version__
-from .catalog import (
-    SCHEMA_REPORT,
-    FormatError,
-    canonical_json,
-    catalog_names,
-    catalog_text,
-    classical_to_doc,
-    dumps,
-    loads,
-)
-from .classical import (
-    CheckFailed,
-    ClassicalDesign,
-    HomCheck,
-    HomPair,
-    InfeasibleParametersError,
-    check_identities,
-    classify,
-    dual as dual_design,
-    gen_complete,
-    gen_projective_plane,
-    search_designs,
-    tensor as tensor_designs,
-)
-from .cpmaps import (
-    MATRIX,
-    CpMap,
-    functor_q,
-    functor_q_on_hom,
-    is_cp,
-    is_trace_preserving,
-    superop_from_choi,
-    verify_cp_design,
-)
-from .linalg import DEFAULT_TOL, Tolerance
-from .quantum import (
-    QuantumDesign,
-    classify_quantum,
-    mub_generate,
-    tensor_q,
-    to_classical,
-    validate,
-)
+
+
+# Module globals bound once, so that a name rebound after the first request,
+# as perfbench/tracing.py does, keeps its binding.
+@functools.cache
+def _import_library() -> None:
+    """Bind the library names that the handlers and ``main`` use."""
+    global SCHEMA_REPORT, FormatError, canonical_json, catalog_names, catalog_text, \
+        classical_to_doc, dumps, loads, \
+        CheckFailed, ClassicalDesign, HomCheck, HomPair, InfeasibleParametersError, \
+        check_identities, classify, dual_design, gen_complete, gen_projective_plane, \
+        search_designs, tensor_designs, \
+        MATRIX, CpMap, functor_q, functor_q_on_hom, is_cp, is_trace_preserving, \
+        superop_from_choi, verify_cp_design, \
+        DEFAULT_TOL, Tolerance, \
+        QuantumDesign, classify_quantum, mub_generate, tensor_q, to_classical, validate
+    from .catalog import (
+        SCHEMA_REPORT,
+        FormatError,
+        canonical_json,
+        catalog_names,
+        catalog_text,
+        classical_to_doc,
+        dumps,
+        loads,
+    )
+    from .classical import (
+        CheckFailed,
+        ClassicalDesign,
+        HomCheck,
+        HomPair,
+        InfeasibleParametersError,
+        check_identities,
+        classify,
+        dual as dual_design,
+        gen_complete,
+        gen_projective_plane,
+        search_designs,
+        tensor as tensor_designs,
+    )
+    from .cpmaps import (
+        MATRIX,
+        CpMap,
+        functor_q,
+        functor_q_on_hom,
+        is_cp,
+        is_trace_preserving,
+        superop_from_choi,
+        verify_cp_design,
+    )
+    from .linalg import DEFAULT_TOL, Tolerance
+    from .quantum import (
+        QuantumDesign,
+        classify_quantum,
+        mub_generate,
+        tensor_q,
+        to_classical,
+        validate,
+    )
+
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -551,6 +576,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    _import_library()
     try:
         if hasattr(args, "abs_eps"):
             args.tol = Tolerance(

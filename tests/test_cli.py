@@ -136,6 +136,8 @@ def test_verify_quantum_validates_each_family_once(tmp_path, capsys, monkeypatch
         calls.append(design.v)
         return validate(design, tol)
 
+    # The first request that runs a handler binds cli's library names.
+    assert run(capsys, "catalog", "--list")[0] == 0
     monkeypatch.setattr(cli, "validate", counting)
     monkeypatch.setattr(quantum, "validate", counting)
     path = write(tmp_path, "mub.json", catalog_text("mub-2-2"))

@@ -74,6 +74,44 @@ def test_verify_cpmap_leaves_numpy_ma_unloaded(tmp_path):
     assert "numpy.ma" not in loaded
 
 
+@pytest.mark.parametrize("argv,code", [(["--version"], 0), (["--help"], 0),
+                                       (["no-such-command"], 2)])
+def test_requests_that_argparse_ends_load_no_library_module_and_no_numpy(argv, code):
+    # What ``python -m designkit.cli ARGV`` runs; the front end runs as __main__.
+    loaded = fresh_modules("import contextlib, io, runpy\n"
+                           f"sys.argv = ['designkit', *{argv!r}]\n"
+                           "with contextlib.redirect_stdout(io.StringIO()), "
+                           "contextlib.redirect_stderr(io.StringIO()):\n"
+                           "    try:\n"
+                           "        runpy.run_module('designkit.cli', run_name='__main__')\n"
+                           "    except SystemExit as exc:\n"
+                           f"        assert exc.code == {code}")
+    assert loaded == ["designkit"]
+
+
+def test_a_handler_request_loads_the_library_and_keeps_its_output(tmp_path):
+    path = tmp_path / "fano.json"
+    path.write_text(designkit.catalog_text("fano"), encoding="utf-8")
+    loaded = fresh_modules("import contextlib, io\nfrom designkit.cli import main\n"
+                           "with contextlib.redirect_stdout(io.StringIO()):\n"
+                           f"    assert main(['verify-classical', {str(path)!r}]) == 0")
+    assert [m for m in loaded if m.startswith("designkit")] == sorted(MODULES)
+    assert "numpy" in loaded
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-m", "designkit.cli", "verify-classical", str(path)],
+                          env=env, cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        "verify-classical: PASS\n"
+        "  k = 3\n"
+        "  lambda = 1\n"
+        "  r = 3\n"
+        "  symmetric = True\n"
+        "  [pass] b*k = r*v  {'lhs': 21, 'rhs': 21}\n"
+        "  [pass] lambda*(v-1) = r*(k-1)  {'lhs': 6, 'rhs': 6}\n"
+    )
+
+
 def test_the_package_exports_the_module_lists_in_module_order():
     assert sorted(MODULES) == sorted(["designkit", "designkit.cli"]
                                      + [f"designkit.{stem}" for stem in EXPORTING])
