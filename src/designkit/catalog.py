@@ -17,8 +17,13 @@ position.  Each matrix is checked and converted in bulk: one type scan, then
 one numpy conversion, with the sign or finiteness checked on the converted
 array.  A projector family converts in batches of whole projectors.  Only a
 refused matrix or batch is walked, projector by projector and entry by
-entry, to find the position of its first fault.  Rendering skips json's
-cycle check, because every value rendered is a tree this package built.
+entry, to find the position of its first fault.
+
+Rendering gives ``canonical_json`` of the document tree for every schema.
+A classical document is written straight from the integer array, digit by
+digit in numpy (``_classical_text``), without building the tree; the other
+schemas go through ``canonical_json``, which skips json's cycle check
+because every value rendered is a tree this package built.
 """
 
 from __future__ import annotations
@@ -158,8 +163,9 @@ def _complex_rows(rows, nrows: int, ncols: int, where: str) -> np.ndarray:
     _rows_error(rows, nrows, ncols, where, _complex_entry)
 
 
-def _complex_matrix_doc(m: np.ndarray) -> list:
-    return np.stack([m.real, m.imag], -1).tolist()
+def _complex_doc(a: np.ndarray) -> list:
+    """Nested lists of ``[re, im]`` pairs, one list level per axis of ``a``."""
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def classical_to_doc(design: ClassicalDesign) -> dict:
@@ -169,6 +175,38 @@ def classical_to_doc(design: ClassicalDesign) -> dict:
         "b": design.b,
         "incidence": design.chi.tolist(),
     }
+
+
+def _classical_text(design: ClassicalDesign) -> str:
+    """``canonical_json(classical_to_doc(design))``, written from the integer array.
+
+    The decimal digits of every entry are formed in numpy, one place value at
+    a time, in one byte buffer that also holds the brackets and commas; a mask
+    drops each entry's leading zeros.  An object array (entries beyond int64)
+    takes the same steps on Python ints.
+    """
+    a = design.chi.a
+    v, b = a.shape
+    width = len(str(a.max()))
+    # Row i: "[", each entry's `width` digits and "," ("]" after the row's last),
+    # then "," ("]" after the last row).
+    text = np.full((v, b * (width + 1) + 2), ord(","), np.uint8)
+    text[:, 0] = ord("[")
+    text[-1, -1] = ord("]")
+    cells = text[:, 1:-1].reshape(v, b, width + 1)
+    cells[:, -1, -1] = ord("]")
+    if width > 1:  # one-digit entries, as in any 0/1 matrix, have no leading zeros to drop
+        keep = np.ones(text.shape, bool)
+        significant = keep[:, 1:-1].reshape(v, b, width + 1)
+    q = a
+    for k in range(width - 1, 0, -1):  # the digit of place 10**(width - 1 - k)
+        np.add(q % 10, ord("0"), out=cells[:, :, k], casting="unsafe")
+        q = q // 10
+        significant[:, :, k - 1] = q > 0
+    np.add(q, ord("0"), out=cells[:, :, 0], casting="unsafe")  # the leading place: q < 10
+    rows = text[keep] if width > 1 else text
+    return (f'{{"b":{b},"incidence":[{rows.tobytes().decode("ascii")},'
+            f'"schema":"{SCHEMA_CLASSICAL}","v":{v}}}\n')
 
 
 def classical_from_doc(doc: dict) -> ClassicalDesign:
@@ -191,7 +229,7 @@ def quantum_to_doc(design: QuantumDesign) -> dict:
     return {
         "schema": SCHEMA_QUANTUM,
         "dim": design.b,
-        "projectors": [_complex_matrix_doc(p) for p in design._stack],
+        "projectors": _complex_doc(design._stack),
     }
 
 
@@ -239,7 +277,7 @@ def cpmap_to_doc(f: CpMap) -> dict:
         "convention": f.convention,
         "in": _algebra_to_doc(f.in_alg),
         "out": _algebra_to_doc(f.out_alg),
-        "matrix": _complex_matrix_doc(f.m.a),
+        "matrix": _complex_doc(f.m.a),
     }
 
 
@@ -275,7 +313,7 @@ def _collector_paused(fn):
 def dumps(obj) -> str:
     """Canonical document text for a design or map object."""
     if isinstance(obj, ClassicalDesign):
-        return canonical_json(classical_to_doc(obj))
+        return _classical_text(obj)
     if isinstance(obj, QuantumDesign):
         return canonical_json(quantum_to_doc(obj))
     if isinstance(obj, CpMap):

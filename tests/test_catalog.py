@@ -18,13 +18,21 @@ from designkit.catalog import (
     catalog_names,
     catalog_text,
     classical_from_doc,
+    classical_to_doc,
     cpmap_from_doc,
     dumps,
     loads,
     quantum_from_doc,
     quantum_to_doc,
 )
-from designkit.classical import ClassicalDesign, classify, gen_complete, gen_projective_plane
+from designkit.classical import (
+    ClassicalDesign,
+    classify,
+    dual,
+    gen_complete,
+    gen_projective_plane,
+    tensor,
+)
 from designkit.cpmaps import Algebra, CpMap, verify_cp_design
 from designkit.linalg import DEFAULT_TOL, ComplexMatrix, NatMatrix
 from designkit.quantum import QuantumDesign, _batch_size, classify_quantum, mub_generate, mub_verify
@@ -351,6 +359,20 @@ def oracle_matrix_doc(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
+def oracle_dumps(obj) -> str:
+    """The document text of obj, one Python value per entry, through canonical_json."""
+    if isinstance(obj, ClassicalDesign):
+        return canonical_json(classical_to_doc(obj))
+    if isinstance(obj, QuantumDesign):
+        return canonical_json({"schema": "quantum-design/1", "dim": obj.b,
+                               "projectors": [oracle_matrix_doc(p.a) for p in obj.projectors]})
+    return canonical_json({
+        "schema": "cp-map/1", "convention": obj.convention,
+        "in": {"kind": obj.in_alg.kind, "n": obj.in_alg.n},
+        "out": {"kind": obj.out_alg.kind, "n": obj.out_alg.n},
+        "matrix": oracle_matrix_doc(obj.m.a)})
+
+
 def _outcome(parse, doc):
     """("ok", value) or (exception type name, message) for parse(doc)."""
     try:
@@ -567,9 +589,62 @@ def test_benchmark_style_documents_round_trip_byte_for_byte(monkeypatch):
         obj = loads(text)
         assert dumps(obj) == text
         assert _same_value(obj, _oracle_loads(text, monkeypatch))
-        with monkeypatch.context() as m:
-            m.setattr(catalog, "_complex_matrix_doc", oracle_matrix_doc)
-            assert catalog.dumps(obj) == text
+        assert oracle_dumps(obj) == text
+
+
+# Entries at the edges of each decimal width the renderer lays out: 9/10,
+# 99/100, the largest int64 and, as Python ints, the first values beyond it.
+_INT64_EDGES = (0, 1, 9, 10, 99, 100, 999, 1000, 10**18 - 1, 10**18, 2**63 - 1)
+_BEYOND_INT64 = (2**63, 2**64, 10**19, 10**25, 10**40 - 1, 10**40)
+
+
+def _seeded_incidences(rng):
+    """(kind, entries) for seeded incidence matrices of every shape and width."""
+    shapes = ((1, 1), (1, None), (None, 1), (None, None))
+    for trial in range(120):
+        v, b = (int(rng.integers(1, 13)) if n is None else n for n in shapes[trial % 4])
+        kind = ("zero-one", "all-zero", "small", "edges", "wide", "beyond-int64")[trial % 6]
+        if kind == "zero-one":
+            yield kind, rng.integers(0, 2, (v, b)).tolist()
+        elif kind == "all-zero":
+            yield kind, [[0] * b for _ in range(v)]
+        elif kind == "small":
+            yield kind, rng.integers(0, 12, (v, b)).tolist()
+        elif kind == "edges":
+            yield kind, rng.choice(np.array(_INT64_EDGES), (v, b)).tolist()
+        elif kind == "wide":  # every width from 1 to 19 digits
+            yield kind, (rng.integers(0, 2**63 - 1, (v, b)) // 10 ** rng.integers(0, 19, (v, b))).tolist()
+        else:
+            rows = [[int(x) for x in rng.choice(np.array(_INT64_EDGES[:6]), b)] for _ in range(v)]
+            rows[int(rng.integers(v))][int(rng.integers(b))] = _BEYOND_INT64[trial // 6 % len(_BEYOND_INT64)]
+            yield kind, rows
+
+
+def test_dumps_renders_classical_designs_like_canonical_json_of_the_doc():
+    rng = np.random.default_rng(22)
+    small = ClassicalDesign(NatMatrix([[1, 0], [1, 1], [0, 1]]))
+    checked, kinds, widths = 0, set(), set()
+    for kind, rows in _seeded_incidences(rng):
+        design = ClassicalDesign(NatMatrix(rows))
+        a = design.chi.a
+        # dual's transpose, column and row slices, and Fortran order are all views
+        # or layouts the renderer reads without a copy of its own.
+        layouts = {"as built": design, "dual": dual(design), "tensor": tensor(design, small),
+                   "fortran": ClassicalDesign(NatMatrix._raw(np.asfortranarray(a)))}
+        if a.shape[1] > 1:
+            layouts["columns"] = ClassicalDesign(NatMatrix._raw(a[:, 1:]))
+        if a.shape[0] > 2:
+            layouts["every other row"] = ClassicalDesign(NatMatrix._raw(a[::2]))
+        for layout, d in layouts.items():
+            want = oracle_dumps(d)
+            assert dumps(d) == want, (kind, layout, want)
+            checked += 1
+            kinds.add((kind, d.chi.a.dtype == object))
+            widths.add(len(str(max(max(row) for row in d.chi.tolist()))))
+    assert checked >= 500, checked
+    assert {("zero-one", False), ("all-zero", False), ("edges", False), ("wide", False),
+            ("beyond-int64", True)} <= kinds, kinds
+    assert {1, 2, 3, 19, 20, 26} <= widths, sorted(widths)
 
 
 def test_bundled_catalog_matches_build_script(tmp_path):

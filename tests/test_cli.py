@@ -1,5 +1,6 @@
 import argparse
 import ast
+import hashlib
 import io
 import json
 import time
@@ -432,6 +433,39 @@ def test_dual_rejects_quantum_documents(tmp_path, capsys):
     code, _, err = run(capsys, "dual", path)
     assert code == 2
     assert "classical-design/1" in err
+
+
+# sha256 of stdout for classical documents, as canonical_json rendered them from
+# one Python list per row; every way of rendering them must reproduce the bytes.
+# A name ending in .json is that catalog entry's file; "q2c" converts the c2q
+# image (functor_q) of the entry after it back.
+PINNED_CLASSICAL_STDOUT = {
+    ("generate", "projective-plane", "--order", "13"):
+        "966a3284a20fab0728fdef04e3d214e50bb8d02346cc4d67dc8e33914a255c62",
+    ("generate", "complete", "--v", "7", "--k", "3"):
+        "96b6595433bbe29b60b3286316ed957b20c29bfb245698784dc78a571952fe69",
+    ("dual", "fano.json"): "27bf5a29cb887e11d9bfd54d16c45e2d2e4d4b9cfee67b102663b9ee060def5d",
+    ("dual", "pg2-5.json"): "7280e4b47c99687203187e079afb424fcf51f51f6fccde7b4ac89ebf08d80a3a",
+    ("dual", "complete-3-2.json"): "a9039446201f9ac6186d1d503c4399c4483938a06a828aadc2c2e2efa76ae1ce",
+    ("tensor", "pg2-3.json", "pg2-3.json"):
+        "f3426c42a1bdc0bf9e941eb67f7cdeb8b19552311daf15ecc77232fcef3b543c",
+    ("tensor", "fano.json", "complete-3-2.json"):
+        "faf8a4d2140cf4b654caa288cd8cb87cdf3c0c24d3ed41ec63b9181996647cda",
+    ("q2c", "pg2-3.json"): "d212883db8208ad362b211a5b8db3ac4fb065dce74a8a142d45b41a71d861515",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_CLASSICAL_STDOUT), ids=" ".join)
+def test_classical_documents_keep_their_pinned_bytes(argv, tmp_path, capsys):
+    args = [write(tmp_path, a, catalog_text(a[: -len(".json")])) if a.endswith(".json") else a
+            for a in argv]
+    if args[0] == "q2c":
+        code, image, _ = run(capsys, "convert", "c2q", args[1])
+        assert code == 0
+        args = ["convert", "q2c", write(tmp_path, "image.json", image)]
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_CLASSICAL_STDOUT[argv]
 
 
 def test_dual_transposes(fano_file, tmp_path, capsys):
