@@ -19,6 +19,13 @@ array.  A projector family converts in batches of whole projectors.  Only a
 refused matrix or batch is walked, projector by projector and entry by
 entry, to find the position of its first fault.
 
+A classical document whose incidence is written canonically (no whitespace,
+every entry one decimal digit, as every 0/1 design designkit renders) builds
+no tree for it (``_canonical_design``): json parses the text with its first
+``[`` to last ``]`` cut out, the cut is checked against its one possible
+layout as bytes, and numpy reads its digits from one byte buffer.  Any other
+text, and every error, goes the general way above, with the same messages.
+
 Rendering gives ``canonical_json`` of the document tree for every schema.
 A classical document is written straight from the integer array, digit by
 digit in numpy (``_classical_text``), without building the tree; the other
@@ -32,6 +39,7 @@ import functools
 import gc
 import json
 import math
+import sys
 from importlib import resources
 from itertools import chain
 from typing import NoReturn
@@ -209,6 +217,43 @@ def _classical_text(design: ClassicalDesign) -> str:
             f'"schema":"{SCHEMA_CLASSICAL}","v":{v}}}\n')
 
 
+_ZERO_DIGITS = bytes.maketrans(b"123456789", b"000000000")
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
+def _canonical_design(text: str) -> ClassicalDesign | None:
+    """The design of a classical document whose incidence is canonical one-digit text, else None.
+
+    The skeleton is ``text`` with everything from its first ``[`` to its last
+    ``]`` (the cut) replaced by ``[]``.  It holds no other ``[`` that a ``]``
+    closes, so if its top-level ``incidence`` is a list, that list is the cut.
+    The cut's length must be ``v (2b + 2) + 1``, checked before anything is
+    allocated.  With every digit mapped to ``0`` it must then equal
+    ``[[0,...,0],...,[0,...,0]]``; the digits, with the brackets and commas
+    deleted, are the row-major entries, read by numpy from one byte buffer.
+    """
+    first, last = text.find("["), text.rfind("]")
+    if first < 0:
+        return None
+    try:
+        doc = json.loads(text[:first] + "[]" + text[last + 1:])
+    except (ValueError, RecursionError):  # the full parse reports it
+        return None
+    if not (isinstance(doc, dict) and doc.get("schema") == SCHEMA_CLASSICAL
+            and isinstance(doc.get("incidence"), list)):
+        return None
+    v, b = doc.get("v"), doc.get("b")
+    if not (type(v) is int and type(b) is int and v >= 1 and b >= 1
+            and last - first == v * (2 * b + 2)):
+        return None
+    cut = text[first:last + 1].encode("ascii", "replace")  # never raises: non-ASCII is "?"
+    row = b"[" + b"0," * (b - 1) + b"0]"
+    if cut.translate(_ZERO_DIGITS) != b"[" + b",".join([row] * v) + b"]":
+        return None
+    digits = np.frombuffer(cut.translate(_DIGIT_VALUES, b"[],"), np.uint8)
+    return ClassicalDesign(NatMatrix._raw(digits.astype(np.int64).reshape(v, b)))
+
+
 def classical_from_doc(doc: dict) -> ClassicalDesign:
     _require(_get(doc, "schema", "document") == SCHEMA_CLASSICAL,
              f"schema mismatch: expected {SCHEMA_CLASSICAL!r}")
@@ -324,10 +369,18 @@ def dumps(obj) -> str:
 @_collector_paused
 def loads(text: str):
     """Parse a document, dispatching on its schema field."""
+    design = _canonical_design(text)
+    if design is not None:
+        return design
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError("invalid JSON: nested too deeply") from None
+    except ValueError:  # json's only other error: an integer literal past the digit limit
+        raise FormatError("invalid JSON: an integer literal has more than "
+                          f"{sys.get_int_max_str_digits()} digits") from None
     _require(isinstance(doc, dict), "document: expected an object")
     schema = _get(doc, "schema", "document")
     if schema == SCHEMA_CLASSICAL:

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -542,6 +543,144 @@ def test_bulk_parser_matches_the_entry_walk_on_seeded_documents(monkeypatch):
         if got.startswith("projectors["):
             named.add(int(got[len("projectors["):got.index("]")]) // step)
     assert named >= {0, 1}, named
+
+
+# --- Canonical one-digit incidences, read from the text without a tree ---
+
+
+def _oracle_loads_text(text: str):
+    """loads through json.loads and the entry walk: the general path's rules and messages."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid JSON: {exc}") from None
+    return oracle_classical_from_doc(doc)
+
+
+def _text_mutation(text: str, rng) -> tuple[str, str]:
+    """(what, text with one place of the canonical document spoiled or restyled)."""
+    first, last = text.index("["), text.rindex("]")
+    cut = text[first:last + 1]
+    digits = [i for i, c in enumerate(cut) if c.isdigit()]
+    commas = [i for i, c in enumerate(cut) if c == ","]
+    brackets = [i for i, c in enumerate(cut) if c in "[]"]
+
+    def at(i, new, drop=1):  # the cut with cut[i:i + drop] replaced by new
+        return text[:first] + cut[:i] + new + cut[i + drop:] + text[last + 1:]
+
+    def pick(seq):
+        return seq[int(rng.integers(len(seq)))]
+
+    what = pick(["digit", "separator", "comma", "bracket", "row-length", "v-b", "other-key",
+                 "second-key", "multi-digit", "non-ascii", "non-ascii-key"])
+    if what == "digit":
+        return what, at(pick(digits), pick(list("23456789-. t:")))
+    if what == "separator" and len(cut) > 5:  # a "," "[" or "]" inside the cut, in place
+        i = pick(commas + brackets[1:-1])
+        return what, at(i, pick([c for c in "01,[]" if c != cut[i]]))
+    if what == "comma" and commas:
+        return what, at(pick(commas), pick([",,", ""]))
+    if what == "bracket":
+        i = pick(brackets)
+        return what, at(i, pick(["", cut[i] * 2]))
+    if what == "row-length":
+        end = pick([i for i, c in enumerate(cut) if c == "]"][:-1])  # a row's "]"
+        if cut[end - 2] == "," and rng.random() < 0.5:
+            return what, at(end - 2, "", 2)  # drop the row's last ",d"
+        return what, at(end, ",0]")
+    if what == "v-b":
+        key = pick(["v", "b"])
+        n = json.loads(text)[key]
+        return what, text.replace(f'"{key}":{n}', f'"{key}":' + pick([str(n - 1), str(n + 1),
+                                                                       f"{n}.0", "true"]), 1)
+    if what == "other-key":  # "[" or "]" in a string or a list, either side of the incidence
+        s = json.dumps(pick(["[", "]", "a[b", "]]", "[[1]]", [0], [[1]]]))
+        return what, (text.replace("{", '{"a":' + s + ",", 1) if rng.random() < 0.5
+                      else text[:-2] + ',"z":' + s + "}\n")
+    if what == "second-key":
+        other = pick(["0", "[[1]]", '"[]"', cut])
+        return what, (text.replace("{", '{"incidence":' + other + ",", 1) if rng.random() < 0.5
+                      else text[:-2] + ',"incidence":' + other + "}\n")
+    if what == "multi-digit":
+        return what, at(pick(digits), pick(["10", "12", "99", "100"]))
+    if what == "non-ascii":
+        i = pick(digits)
+        return what, pick([at(i, "\u0661"), at(i, cut[i] + "\u00a0"), at(i, "\ud800")])
+    if what == "non-ascii-key":  # before the incidence, which must still be read in place
+        return what, text.replace("{", '{"\u00e9\u4e2d":1,', 1)
+    return "none", text
+
+
+def test_canonical_texts_parse_like_the_entry_walk(monkeypatch):
+    rng = np.random.default_rng(20231)
+    taken = []  # what _canonical_design returned for each text: None sends it the general way
+
+    def spy(text, real=catalog._canonical_design):
+        taken.append(real(text))
+        return taken[-1]
+
+    monkeypatch.setattr(catalog, "_canonical_design", spy)
+    fast, mutations, outcomes = 0, set(), {}
+    for trial in range(1500):
+        v, b = (int(x) for x in rng.integers(1, 9, size=2))
+        chi = rng.integers(0, 10 if trial % 5 == 0 else 2, size=(v, b)).tolist()
+        text = canonical_json({"schema": "classical-design/1", "v": v, "b": b, "incidence": chi})
+        what = "none"
+        if trial % 4:
+            what, text = _text_mutation(text, rng)
+        mutations.add(what)
+        got = _outcome(loads, text)
+        want = _outcome(_oracle_loads_text, text)
+        assert got[0] == want[0] and got[0] in ("ok", "FormatError"), (text, got, want)
+        if got[0] == "ok":
+            assert _same_value(got[1], want[1]), text
+        else:
+            assert got[1] == want[1], text
+        fast += taken[-1] is not None
+        if what in ("none", "non-ascii-key"):
+            assert taken[-1] is not None, text
+        outcomes[got[0]] = outcomes.get(got[0], 0) + 1
+    assert mutations == {"none", "digit", "separator", "comma", "bracket", "row-length", "v-b",
+                         "other-key", "second-key", "multi-digit", "non-ascii", "non-ascii-key"}, \
+        mutations
+    assert fast > 400 and outcomes["ok"] > fast and outcomes["FormatError"] > 400, (fast, outcomes)
+
+
+def test_canonical_incidence_builds_no_document_tree(monkeypatch):
+    trees = []
+    monkeypatch.setattr(catalog, "classical_from_doc",
+                        lambda doc, real=catalog.classical_from_doc: trees.append(doc) or real(doc))
+    rng = np.random.default_rng(5)
+    a = gen_projective_plane(11).chi.a
+    design = ClassicalDesign(NatMatrix._raw(a[rng.permutation(133)][:, rng.permutation(133)]))
+    doc = classical_to_doc(design)
+    assert loads(dumps(design)).chi == design.chi and trees == []
+    # Key order is the skeleton's business: a compact incidence is still read from the text.
+    reordered = dict(reversed(list(doc.items())))
+    assert loads(json.dumps(reordered, separators=(",", ":"))).chi == design.chi and trees == []
+    ten = json.loads(canonical_json(doc))
+    ten["incidence"][3][4] = 10
+    general = {  # text -> the incidence it holds; each goes through the tree
+        json.dumps(doc, indent=1): design.chi,
+        json.dumps(reordered): design.chi,
+        canonical_json(ten): NatMatrix(ten["incidence"]),
+    }
+    for n, (text, chi) in enumerate(general.items(), 1):
+        assert loads(text).chi == chi and len(trees) == n
+
+
+def test_classical_parse_allocates_nothing_for_a_short_document():
+    # A short text that claims v = b = 10**6 is refused by the length of its cut
+    # before any v x b array, and then by its row count.
+    text = '{"b":1000000,"incidence":[[1]],"schema":"classical-design/1","v":1000000}\n'
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=r"^incidence: expected 1000000 rows, got 1$"):
+            loads(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5, peak
 
 
 def _haar(n, rng):

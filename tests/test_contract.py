@@ -137,6 +137,22 @@ REFUSED_OPTIONS = {  # name -> (argv, stderr)
 }
 
 
+# Texts json itself refuses, for each schema's verify request: "deep" nests
+# 100000 lists where the matrix goes, and "long-integer" writes an entry with
+# more digits than Python converts (4300 by default).
+SCHEMA_TEXTS = {
+    "verify-classical": '{"b":1,"incidence":%s,"schema":"classical-design/1","v":1}\n',
+    "verify-quantum": '{"dim":1,"projectors":%s,"schema":"quantum-design/1"}\n',
+    "verify-cpmap": ('{"convention":"superoperator","in":{"kind":"commutative","n":1},'
+                     '"matrix":%s,"out":{"kind":"commutative","n":1},"schema":"cp-map/1"}\n'),
+}
+JSON_LIMITS = {  # name -> (matrix text, stderr)
+    "deep": ("[" * 100000 + "]" * 100000, "error: invalid JSON: nested too deeply\n"),
+    "long-integer": ("[[" + "7" * 5000 + "]]",
+                     "error: invalid JSON: an integer literal has more than 4300 digits\n"),
+}
+
+
 def documents(e):
     return {
         "square": ClassicalDesign.from_rows([[e, 1], [1, e]]),
@@ -255,3 +271,13 @@ def test_lambda_search_refuses_a_bracket_beyond_binary64(tmp_path, capsys, name,
     assert (code, captured.out) == (2, "")
     assert captured.err == ("error: lambda balance bound max|m m^dagger| + |r| + 1 = 1e+308 "
                             "exceeds 8.988465674311579e+307, half the binary64 range\n")
+
+
+@pytest.mark.parametrize("limit", list(JSON_LIMITS))
+@pytest.mark.parametrize("request_name", list(SCHEMA_TEXTS))
+def test_texts_past_a_json_limit_are_refused_as_bad_input(tmp_path, capsys, request_name, limit):
+    # json raises RecursionError and a plain ValueError here; both are format errors.
+    matrix, want_err = JSON_LIMITS[limit]
+    path = tmp_path / "doc.json"
+    path.write_text(SCHEMA_TEXTS[request_name] % matrix, encoding="utf-8")
+    assert assert_contract(tmp_path, capsys, {}, [request_name, str(path)]) == (2, "", want_err)
