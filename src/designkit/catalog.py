@@ -15,22 +15,31 @@ Parsing is strict: wrong schema, ragged rows, unexpected types, non-finite
 numbers and integers beyond binary64 all raise :class:`FormatError` with a
 position.  Each matrix is checked and converted in bulk: one type scan, then
 one numpy conversion, with the sign or finiteness checked on the converted
-array.  A projector family converts in batches of whole projectors.  Only a
-refused matrix or batch is walked, projector by projector and entry by
-entry, to find the position of its first fault.
+array.  Complex arrays convert in batches of about 2^12 entries (whole
+projectors, or whole rows of a CP map).  Only a refused matrix or batch is
+walked, projector by projector and entry by entry, to find the position of
+its first fault.
 
-A classical document whose incidence is written canonically (no whitespace,
-every entry one decimal digit, as every 0/1 design designkit renders) builds
-no tree for it (``_canonical_design``): json parses the text with its first
-``[`` to last ``]`` cut out, the cut is checked against its one possible
-layout as bytes, and numpy reads its digits from one byte buffer.  Any other
-text, and every error, goes the general way above, with the same messages.
+Each document has one large list: the incidence, the projectors or the
+matrix.  ``loads`` first parses the skeleton, the text with everything from
+its first ``[`` to its last ``]`` (the cut) replaced by ``[]`` (``_streamed``).
+If the large list's key holds that placeholder, the cut is the list, and it
+is read without a tree for the whole document.  A canonical one-digit
+incidence (no whitespace, as every 0/1 design designkit renders) is checked
+against its one possible layout as bytes, and numpy reads its digits from one
+byte buffer.  Projectors and matrix rows are decoded one element at a time
+by json's own scanner (``JSONDecoder.raw_decode``) and converted batch by
+batch straight into the result array, so the parse holds one batch's tree,
+not the document's.  Any other text, and every error, goes the general way
+above (``json.loads``, then the bulk checks), with the same messages.
 
-Rendering gives ``canonical_json`` of the document tree for every schema.
-A classical document is written straight from the integer array, digit by
-digit in numpy (``_classical_text``), without building the tree; the other
-schemas go through ``canonical_json``, which skips json's cycle check
-because every value rendered is a tree this package built.
+Rendering gives ``canonical_json`` of the document tree for every schema,
+and builds that tree for none.  A classical document is written straight
+from the integer array, digit by digit in numpy (``_classical_text``).  A
+quantum or CP-map document joins the json encodings of its complex array's
+batches between the fixed text of its other keys (``_complex_text``).  The
+encoder skips json's cycle check, because every value rendered is a tree
+this package built.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ import json
 import math
 import sys
 from importlib import resources
-from itertools import chain
+from itertools import chain, islice
 from typing import NoReturn
 
 import numpy as np
@@ -49,7 +58,7 @@ import numpy as np
 from .classical import ClassicalDesign
 from .cpmaps import COMMUTATIVE, MATRIX, Algebra, CpMap
 from .linalg import ComplexMatrix, NatMatrix
-from .quantum import QuantumDesign, _batch_size
+from .quantum import QuantumDesign
 
 __all__ = [
     "SCHEMA_CLASSICAL",
@@ -82,6 +91,16 @@ class FormatError(ValueError):
     """Malformed document: wrong schema, shape, type, or non-finite number."""
 
 
+# The encoder of canonical_json, and of each batch of a rendered complex array.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False,
+                              check_circular=False)
+_DECODER = json.JSONDecoder()  # json.loads's own scanner, one element at a time
+
+# Complex entries per codec batch, about one pg2-7 projector (57 x 57): the
+# parse holds one batch's [re, im] lists at a time, about 120 bytes an entry.
+_BATCH_ENTRIES = 1 << 12
+
+
 def canonical_json(doc) -> str:
     """Render a JSON-compatible value canonically (deterministic bytes).
 
@@ -90,8 +109,7 @@ def canonical_json(doc) -> str:
     built itself, and the check took about a third of rendering a large
     projector family.
     """
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False,
-                      check_circular=False) + "\n"
+    return _CANONICAL.encode(doc) + "\n"
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -176,6 +194,28 @@ def _complex_doc(a: np.ndarray) -> list:
     return np.stack([a.real, a.imag], -1).tolist()
 
 
+def _parts(a: np.ndarray):
+    """(lo, a[lo:hi]): ``a`` cut along its first axis into parts of about ``_BATCH_ENTRIES`` entries."""
+    step = max(1, _BATCH_ENTRIES // a[0].size)
+    for lo in range(0, len(a), step):
+        yield lo, a[lo : lo + step]
+
+
+def _complex_text(doc: dict, key: str, a: np.ndarray) -> str:
+    """``canonical_json({**doc, key: _complex_doc(a)})``, rendered a batch of ``a`` at a time."""
+    parts = []
+    for k in sorted([*doc, key]):
+        parts.append(("," if parts else "{") + _CANONICAL.encode(k) + ":")
+        if k != key:
+            parts.append(_CANONICAL.encode(doc[k]))
+            continue
+        for lo, part in _parts(a):  # each part's list, less its brackets
+            parts.append(("," if lo else "[") + _CANONICAL.encode(_complex_doc(part))[1:-1])
+        parts.append("]")
+    parts.append("}\n")
+    return "".join(parts)
+
+
 def classical_to_doc(design: ClassicalDesign) -> dict:
     return {
         "schema": SCHEMA_CLASSICAL,
@@ -221,27 +261,14 @@ _ZERO_DIGITS = bytes.maketrans(b"123456789", b"000000000")
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
-def _canonical_design(text: str) -> ClassicalDesign | None:
-    """The design of a classical document whose incidence is canonical one-digit text, else None.
+def _canonical_design(text: str, doc: dict, first: int, last: int) -> ClassicalDesign | None:
+    """The design of a classical document whose incidence, the cut, is canonical one-digit text.
 
-    The skeleton is ``text`` with everything from its first ``[`` to its last
-    ``]`` (the cut) replaced by ``[]``.  It holds no other ``[`` that a ``]``
-    closes, so if its top-level ``incidence`` is a list, that list is the cut.
     The cut's length must be ``v (2b + 2) + 1``, checked before anything is
     allocated.  With every digit mapped to ``0`` it must then equal
     ``[[0,...,0],...,[0,...,0]]``; the digits, with the brackets and commas
     deleted, are the row-major entries, read by numpy from one byte buffer.
     """
-    first, last = text.find("["), text.rfind("]")
-    if first < 0:
-        return None
-    try:
-        doc = json.loads(text[:first] + "[]" + text[last + 1:])
-    except (ValueError, RecursionError):  # the full parse reports it
-        return None
-    if not (isinstance(doc, dict) and doc.get("schema") == SCHEMA_CLASSICAL
-            and isinstance(doc.get("incidence"), list)):
-        return None
     v, b = doc.get("v"), doc.get("b")
     if not (type(v) is int and type(b) is int and v >= 1 and b >= 1
             and last - first == v * (2 * b + 2)):
@@ -252,6 +279,21 @@ def _canonical_design(text: str) -> ClassicalDesign | None:
         return None
     digits = np.frombuffer(cut.translate(_DIGIT_VALUES, b"[],"), np.uint8)
     return ClassicalDesign(NatMatrix._raw(digits.astype(np.int64).reshape(v, b)))
+
+
+def _elements(text: str, first: int, last: int, count: int):
+    """The ``count`` elements of the JSON array ``text[first:last + 1]``, decoded one at a time.
+
+    Only commas may stand between elements.  Any other text raises json's
+    ValueError or RecursionError, or a ValueError of its own.
+    """
+    pos = first
+    for still in range(count - 1, -1, -1):  # elements after this one
+        item, pos = _DECODER.raw_decode(text, pos + 1)
+        if not (text.startswith(",", pos) if still else pos == last):
+            raise ValueError(f"not an array of {count} elements with bare commas between them")
+        yield item
+        del item  # a batch's tree is not kept alive while the next is read
 
 
 def classical_from_doc(doc: dict) -> ClassicalDesign:
@@ -270,12 +312,42 @@ def classical_from_doc(doc: dict) -> ClassicalDesign:
     _rows_error(rows, v, b, "incidence", _nat)
 
 
+def _complex_fields(obj) -> tuple[dict, str, np.ndarray]:
+    """A quantum design's or CP map's document less its complex array, that array's key, the array."""
+    if isinstance(obj, QuantumDesign):
+        return {"schema": SCHEMA_QUANTUM, "dim": obj.b}, "projectors", obj._stack
+    return ({"schema": SCHEMA_CPMAP, "convention": obj.convention,
+             "in": _algebra_to_doc(obj.in_alg), "out": _algebra_to_doc(obj.out_alg)},
+            "matrix", obj.m.a)
+
+
 def quantum_to_doc(design: QuantumDesign) -> dict:
-    return {
-        "schema": SCHEMA_QUANTUM,
-        "dim": design.b,
-        "projectors": _complex_doc(design._stack),
-    }
+    doc, key, a = _complex_fields(design)
+    return {**doc, key: _complex_doc(a)}
+
+
+def _projector_stack(projectors, v: int, dim: int) -> np.ndarray:
+    """The (v, dim, dim) array of ``projectors``, nested [re, im] lists, converted a batch at a time.
+
+    A refused batch is walked projector by projector to name its first fault.
+    """
+    stack = np.empty((v, dim, dim), dtype=np.complex128)
+    projectors = iter(projectors)
+    for lo, part in _parts(stack):
+        _projector_batch(part, list(islice(projectors, len(part))), lo)
+    return stack
+
+
+def _projector_batch(out: np.ndarray, batch: list, lo: int) -> None:
+    """Convert ``batch``, projectors ``lo`` on, into ``out``; the batch dies on return."""
+    dim = out.shape[1]
+    try:  # the batch's rows, one after another, as one (len(batch) * dim) x dim matrix
+        out[:] = _complex_rows(_entries(batch, len(out), dim), len(out) * dim, dim,
+                               "projectors").reshape(out.shape)
+    except FormatError:  # name the first refused projector, not the batch
+        for i, p in enumerate(batch, lo):
+            _complex_rows(p, dim, dim, f"projectors[{i}]")
+        raise
 
 
 def quantum_from_doc(doc: dict) -> QuantumDesign:
@@ -290,18 +362,20 @@ def quantum_from_doc(doc: dict) -> QuantumDesign:
     if rows is None or not _only(rows, list) or set(map(len, rows)) != {dim}:
         for i, p in enumerate(raw):
             _complex_rows(p, dim, dim, f"projectors[{i}]")
-    stack = np.empty((len(raw), dim, dim), dtype=np.complex128)
-    step = _batch_size(dim)
-    for lo in range(0, len(raw), step):
-        batch = stack[lo : lo + step]
-        try:  # the batch's rows, one after another, as one (len(batch) * dim) x dim matrix
-            batch[:] = _complex_rows(rows[lo * dim : (lo + step) * dim], len(batch) * dim, dim,
-                                     "projectors").reshape(batch.shape)
-        except FormatError:  # name the first refused projector, not the batch
-            for i in range(lo, lo + len(batch)):
-                _complex_rows(raw[i], dim, dim, f"projectors[{i}]")
-            raise
-    return QuantumDesign._from_stack(stack)
+    return QuantumDesign._from_stack(_projector_stack(raw, len(raw), dim))
+
+
+def _streamed_quantum(text: str, doc: dict, first: int, last: int) -> QuantumDesign | None:
+    """The family of a quantum document whose projector list, the cut, is written canonically."""
+    dim = doc.get("dim")
+    if not (type(dim) is int and dim >= 1):
+        return None
+    # In canonical text each projector ends in "]]]" (its last entry, row and
+    # itself) and nothing else does; a wrong count fails in _elements.
+    v = text.count("]]]", first, last + 1)
+    if not 0 < 6 * v * dim * dim <= last - first:  # "[0,0]," is the shortest entry
+        return None
+    return QuantumDesign._from_stack(_projector_stack(_elements(text, first, last, v), v, dim))
 
 
 def _algebra_to_doc(alg: Algebra) -> dict:
@@ -317,26 +391,69 @@ def _algebra_from_doc(doc, where: str) -> Algebra:
 
 
 def cpmap_to_doc(f: CpMap) -> dict:
-    return {
-        "schema": SCHEMA_CPMAP,
-        "convention": f.convention,
-        "in": _algebra_to_doc(f.in_alg),
-        "out": _algebra_to_doc(f.out_alg),
-        "matrix": _complex_doc(f.m.a),
-    }
+    doc, key, a = _complex_fields(f)
+    return {**doc, key: _complex_doc(a)}
 
 
-def cpmap_from_doc(doc: dict) -> CpMap:
+def _cpmap_algebras(doc: dict) -> tuple[Algebra, Algebra]:
     _require(_get(doc, "schema", "document") == SCHEMA_CPMAP,
              f"schema mismatch: expected {SCHEMA_CPMAP!r}")
     convention = _get(doc, "convention", "document")
     _require(convention == "superoperator", f"unsupported convention {convention!r}")
-    in_alg = _algebra_from_doc(_get(doc, "in", "document"), "in")
-    out_alg = _algebra_from_doc(_get(doc, "out", "document"), "out")
+    return (_algebra_from_doc(_get(doc, "in", "document"), "in"),
+            _algebra_from_doc(_get(doc, "out", "document"), "out"))
+
+
+def cpmap_from_doc(doc: dict) -> CpMap:
+    in_alg, out_alg = _cpmap_algebras(doc)
     m = _complex_rows(
         _get(doc, "matrix", "document"), out_alg.coord_dim, in_alg.coord_dim, "matrix"
     )
-    return CpMap(in_alg=in_alg, out_alg=out_alg, m=ComplexMatrix(m))
+    return CpMap(in_alg=in_alg, out_alg=out_alg, m=ComplexMatrix._raw(m))
+
+
+def _streamed_cpmap(text: str, doc: dict, first: int, last: int) -> CpMap | None:
+    """The map of a CP-map document whose matrix, the cut, is a list of rows with bare commas."""
+    in_alg, out_alg = _cpmap_algebras(doc)
+    nrows, ncols = out_alg.coord_dim, in_alg.coord_dim
+    if 6 * nrows * ncols > last - first:  # "[0,0]," is the shortest entry
+        return None
+    m = np.empty((nrows, ncols), dtype=np.complex128)
+    rows = _elements(text, first, last, nrows)
+    for _, part in _parts(m):
+        part[:] = _complex_rows(list(islice(rows, len(part))), len(part), ncols, "matrix")
+    return CpMap(in_alg=in_alg, out_alg=out_alg, m=ComplexMatrix._raw(m))
+
+
+# schema -> the key of its one large list, and the reader of a document whose
+# cut is that list; a reader returns None or raises where the text needs the tree.
+_CUT_READERS = (
+    (SCHEMA_CLASSICAL, "incidence", _canonical_design),
+    (SCHEMA_QUANTUM, "projectors", _streamed_quantum),
+    (SCHEMA_CPMAP, "matrix", _streamed_cpmap),
+)
+
+
+def _streamed(text: str):
+    """The object of a document read without a tree for its one large list, else None.
+
+    The skeleton is ``text`` with everything from its first ``[`` to its last
+    ``]`` (the cut) replaced by ``[]``.  It holds no other ``[`` that a ``]``
+    closes, so if the large list's key holds a list, that list is the cut.
+    """
+    first, last = text.find("["), text.rfind("]")
+    if not 0 <= first < last:
+        return None
+    try:
+        doc = json.loads(text[:first] + "[]" + text[last + 1:])
+        if not isinstance(doc, dict):
+            return None
+        for schema, key, read in _CUT_READERS:
+            if doc.get("schema") == schema and isinstance(doc.get(key), list):
+                return read(text, doc, first, last)
+    except (ValueError, RecursionError):  # FormatError too: the general path raises it
+        pass
+    return None
 
 
 def _collector_paused(fn):
@@ -359,19 +476,17 @@ def dumps(obj) -> str:
     """Canonical document text for a design or map object."""
     if isinstance(obj, ClassicalDesign):
         return _classical_text(obj)
-    if isinstance(obj, QuantumDesign):
-        return canonical_json(quantum_to_doc(obj))
-    if isinstance(obj, CpMap):
-        return canonical_json(cpmap_to_doc(obj))
+    if isinstance(obj, (QuantumDesign, CpMap)):
+        return _complex_text(*_complex_fields(obj))
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 @_collector_paused
 def loads(text: str):
     """Parse a document, dispatching on its schema field."""
-    design = _canonical_design(text)
-    if design is not None:
-        return design
+    obj = _streamed(text)
+    if obj is not None:
+        return obj
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -92,6 +92,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+_DIGEST_SLICE = 1 << 16  # characters hashed per UTF-8 encoding in _digest
+
 
 def _read_text(path: str) -> str:
     if path == "-":
@@ -109,7 +111,12 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _digest(text: str) -> str:
-    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+    # The sha256 of text's UTF-8 bytes, encoded a slice at a time: each character
+    # encodes alone, so no whole-text copy is needed for the same digest.
+    h = hashlib.sha256()
+    for lo in range(0, len(text), _DIGEST_SLICE):
+        h.update(text[lo : lo + _DIGEST_SLICE].encode("utf-8"))
+    return "sha256:" + h.hexdigest()
 
 
 def _check(name: str, passed: bool, **extra) -> dict:

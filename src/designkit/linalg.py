@@ -284,9 +284,17 @@ def _float64_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Every product and partial sum is then an integer below 2**53, which
     binary64 holds exactly, so the BLAS product in float64 is the integer
-    product (numpy's int64 matmul does not call BLAS).
+    product (numpy's int64 matmul does not call BLAS).  When ``y`` is the
+    transposed view of ``x``, as in a Gram matrix ``x x^T``, ``x`` is converted
+    once and multiplied by its own transpose, which numpy computes as one
+    symmetric product (syrk).
     """
-    return (x.astype(np.float64) @ y.astype(np.float64)).astype(np.int64)
+    xf = x.astype(np.float64)
+    transposed = (y.shape == x.shape[::-1] and y.strides == x.strides[::-1]
+                  and y.__array_interface__["data"][0] == x.__array_interface__["data"][0])
+    product = xf @ (xf.T if transposed else y.astype(np.float64))
+    del xf  # not held while the product converts
+    return product.astype(np.int64)
 
 
 def kron(a, b):

@@ -1,8 +1,10 @@
+import functools
 import gc
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -247,9 +249,10 @@ COLLECTOR_CALLS = {
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("call", list(COLLECTOR_CALLS))
 def test_codec_pauses_the_cycle_collector_and_restores_its_state(monkeypatch, call, enabled):
-    # The parse and the render each run with the collector off.
+    # The parse and the render each run with the collector off; the render
+    # encodes through the encoder of canonical_json, one batch at a time.
     seen = []
-    for owner, name in ((catalog.json, "loads"), (catalog, "canonical_json")):
+    for owner, name in ((catalog.json, "loads"), (catalog._CANONICAL, "encode")):
         def spy(text, real=getattr(owner, name)):
             seen.append(gc.isenabled())
             return real(text)
@@ -613,13 +616,13 @@ def _text_mutation(text: str, rng) -> tuple[str, str]:
 
 def test_canonical_texts_parse_like_the_entry_walk(monkeypatch):
     rng = np.random.default_rng(20231)
-    taken = []  # what _canonical_design returned for each text: None sends it the general way
+    taken = []  # what the read from the skeleton returned for each text: None sends it the general way
 
-    def spy(text, real=catalog._canonical_design):
+    def spy(text, real=catalog._streamed):
         taken.append(real(text))
         return taken[-1]
 
-    monkeypatch.setattr(catalog, "_canonical_design", spy)
+    monkeypatch.setattr(catalog, "_streamed", spy)
     fast, mutations, outcomes = 0, set(), {}
     for trial in range(1500):
         v, b = (int(x) for x in rng.integers(1, 9, size=2))
@@ -729,6 +732,172 @@ def test_benchmark_style_documents_round_trip_byte_for_byte(monkeypatch):
         assert dumps(obj) == text
         assert _same_value(obj, _oracle_loads(text, monkeypatch))
         assert oracle_dumps(obj) == text
+
+
+# --- Projector lists and matrix rows, decoded one element at a time ---
+
+
+def _tree_loads(text: str):
+    """loads by the general path alone: json.loads, then quantum_ or cpmap_from_doc."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError("invalid JSON: nested too deeply") from None
+    return {"quantum-design/1": quantum_from_doc, "cp-map/1": cpmap_from_doc}[doc["schema"]](doc)
+
+
+def _streamable_texts():
+    """Canonical quantum and CP-map texts: the benchmark-style ones and a family of 20 x 20
+    projectors, ten to a batch, so that a fault can sit past the first batch."""
+    texts = [t for t in _benchmark_style_texts() if '"classical-design/1"' not in t]
+    rng = np.random.default_rng(24)
+    stack = rng.standard_normal((25, 20, 20)) + 1j * rng.standard_normal((25, 20, 20))
+    assert catalog._BATCH_ENTRIES // 400 == 10
+    return texts + [dumps(QuantumDesign._from_stack(stack))]
+
+
+@functools.cache
+def _cut_marks(text: str) -> dict:
+    """Where the cut of a canonical text has its numbers, commas, brackets and row ends."""
+    first, last = text.index("["), text.rindex("]")
+    cut = text[first:last + 1]
+    marks = {"numbers": [(m.start(), m.end()) for m in re.finditer(r"-?[0-9][0-9.eE+-]*", cut)],
+             "commas": [], "between": [], "brackets": [], "closes": [],
+             "row-ends": [m.start() for m in re.finditer(r"\]\]", cut)]}
+    depth = 0
+    for i, c in enumerate(cut):
+        depth += (c == "[") - (c == "]")
+        if c == ",":
+            marks["commas"].append(i)
+            if depth == 1:  # between two elements of the list
+                marks["between"].append(i)
+        elif c in "[]":
+            marks["brackets"].append(i)
+            if c == "]":
+                marks["closes"].append(i)
+    return marks
+
+
+def _cut_mutation(text: str, rng) -> tuple[str, str]:
+    """(what, text with its large list, or a key beside it, restyled or spoiled in one place)."""
+    first, last = text.index("["), text.rindex("]")
+    cut = text[first:last + 1]
+    marks = _cut_marks(text)
+    numbers, between = marks["numbers"], marks["between"]
+
+    def pick(seq):
+        return seq[int(rng.integers(len(seq)))]
+
+    def at(i, new, drop=0):  # the text with cut[i:i + drop] replaced by new
+        return text[:first] + cut[:i] + new + cut[i + drop:] + text[last + 1:]
+
+    what = pick(["none", "space-between", "space-inside", "extra-key", "number", "bad-value",
+                 "trailing-comma", "drop-bracket", "empty-list", "wrong-dim", "ragged-row",
+                 "deep"])
+    if what == "space-between" and between:
+        return what, at(pick(between) + 1, pick([" ", "\n", "\t "]))
+    if what == "space-inside":
+        return what, at(pick(marks["commas"]) + 1, " ")
+    if what == "extra-key":
+        extra = '"z":' + pick(["[1]", "[[0,0]]", "[]"])
+        return what, (text.replace("{", "{" + extra + ",", 1) if rng.random() < 0.5
+                      else text[:-2] + "," + extra + "}\n")
+    if what == "number":
+        lo, hi = pick(numbers)
+        return what, at(lo, pick(["-0", "1E5", "-2.5e-3", "1e400", "-1e400", "9" * 400,
+                                  "-" + "1" * 400, "0.0", "5e-324"]), hi - lo)
+    if what == "bad-value":
+        lo, hi = pick(numbers)
+        return what, at(lo, pick(["NaN", "Infinity", "-Infinity", "true", "null", '"1"', "[]",
+                                  "{}"]), hi - lo)
+    if what == "trailing-comma":
+        return what, at(pick(marks["closes"]), ",")
+    if what == "drop-bracket":
+        return what, at(pick(marks["brackets"]), "", 1)
+    if what == "empty-list":
+        return what, text[:first] + "[]" + text[last + 1:]
+    if what == "wrong-dim":
+        key, n = pick(re.findall(r'"(dim|n)":([0-9]+)', text))
+        return what, text.replace(f'"{key}":{n}', f'"{key}":' + pick([str(int(n) - 1),
+                                                                       str(int(n) + 1), f"{n}.0",
+                                                                       "true"]), 1)
+    if what == "ragged-row":  # one row loses or gains its last entry
+        end = pick(marks["row-ends"])  # where a row's last entry ends
+        start = cut.rindex("[", 0, end)
+        return what, (at(start - 1, "", end + 1 - start + 1) if cut[start - 1] == ","
+                      else at(end + 1, ",[0,0]"))
+    if what == "deep":  # an entry or an element in far more brackets than json nests
+        lo, hi = pick(numbers)
+        return what, at(lo, "[" * 5000 + cut[lo:hi] + "]" * 5000, hi - lo)
+    return "none", text
+
+
+def test_streamed_decode_matches_the_tree_on_seeded_texts(monkeypatch):
+    rng = np.random.default_rng(2024)
+    streamed = []  # what the read from the skeleton returned: None sends a text the general way
+
+    def spy(text, real=catalog._streamed):
+        streamed.append(real(text))
+        return streamed[-1]
+
+    monkeypatch.setattr(catalog, "_streamed", spy)
+    texts = _streamable_texts()
+    seen = {}  # what -> set of (fast path taken, outcome kind)
+    for trial in range(500):
+        text = texts[trial % len(texts)]
+        what, text = _cut_mutation(text, rng)
+        got = _outcome(loads, text)
+        want = _outcome(_tree_loads, text)
+        assert got[0] == want[0] and got[0] in ("ok", "FormatError"), (what, text[:300], got, want)
+        if got[0] == "ok":
+            assert _same_value(got[1], want[1]), (what, text[:300])
+        else:
+            assert got[1] == want[1], (what, text[:300])
+        fast = streamed[-1] is not None
+        assert not fast or got[0] == "ok", what
+        if what in ("none", "space-inside"):
+            assert fast, (what, text[:300])
+        seen.setdefault(what, set()).add((fast, got[0]))
+    # Both outcomes occur: canonical text takes the fast path, restyled text falls
+    # back and parses, and every fault falls back to raise on the general path.
+    fails = {(False, "FormatError")}
+    assert seen == {"none": {(True, "ok")}, "space-inside": {(True, "ok")},
+                    "space-between": {(False, "ok")}, "extra-key": {(False, "ok")},
+                    "number": {(True, "ok"), *fails}, "bad-value": fails,
+                    "trailing-comma": fails, "drop-bracket": fails, "empty-list": fails,
+                    "wrong-dim": fails, "ragged-row": fails, "deep": fails}, seen
+
+
+def _conjugated_family(d: int):
+    """The diagonal family of PG(2, d) conjugated by a seeded Haar unitary, as a QuantumDesign."""
+    chi = gen_projective_plane(d).chi.a
+    b = chi.shape[1]
+    u = _haar(b, np.random.default_rng(d))
+    diag = np.zeros((len(chi), b, b), dtype=np.complex128)
+    diag[:, np.arange(b), np.arange(b)] = chi
+    return QuantumDesign._from_stack(u @ diag @ u.conj().T)
+
+
+def test_codec_holds_one_batch_of_a_conjugated_family_not_its_tree():
+    # 31 projectors of 31 x 31 (pg2-5): 476 kB of stack and about 1.3 MB of
+    # text, whose whole tree would take about 4 MB.  loads holds the stack and
+    # one batch's tree; dumps holds the text twice (its pieces and their join).
+    design = _conjugated_family(5)
+    stack_bytes = design._stack.nbytes
+    text = dumps(design)
+    assert design.b == 31 and len(text) > 2 * stack_bytes
+    for call, bound in ((lambda: loads(text), 4 * stack_bytes),
+                        (lambda: dumps(design), 2 * len(text) + 2 * stack_bytes)):
+        tracemalloc.start()
+        try:
+            out = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out == text if isinstance(out, str) else _same_value(out, design)
+        assert peak < bound, (peak, bound, stack_bytes)
 
 
 # Entries at the edges of each decimal width the renderer lays out: 9/10,

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -868,3 +869,24 @@ def test_malformed_json_file_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "verify-classical", path)
     assert code == 2
     assert "invalid JSON" in err
+
+
+def test_digest_hashes_the_text_a_slice_at_a_time():
+    # The digest is the sha256 of the whole text's UTF-8 bytes, whatever the
+    # slices; multi-byte characters sit where a byte-wise cut would split them.
+    n = cli._DIGEST_SLICE
+    texts = ["", "a", "x" * n, "x" * (n + 1), "x" * (n - 1) + "\u00e9" + "ab",
+             "y" * (n - 1) + "\U0001f600" * 3, "\u4e2d" * (2 * n + 1),
+             "z" * (n - 2) + "\u20ac\u00e9\U0001f600" * n, '{"a":"\u00e9"}\n']
+    for text in texts:
+        assert cli._digest(text) == "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+    # No whole-text copy: a 6 MB ASCII text is hashed within a small fraction of itself.
+    big = "[0.25,-1]," * 600_000
+    tracemalloc.start()
+    try:
+        digest = cli._digest(big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest == "sha256:" + hashlib.sha256(big.encode("ascii")).hexdigest()
+    assert peak < len(big) // 16, peak

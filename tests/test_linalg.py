@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +163,46 @@ def test_mat_mul_matches_plain_loops():
             for i in range(3)
         ]
         assert got == want
+
+
+def _float64_peak(x: NatMatrix, y: NatMatrix) -> tuple[list, int]:
+    """mat_mul(x, y) as lists, and the tracemalloc peak of the call in bytes."""
+    tracemalloc.start()
+    try:
+        got = mat_mul(x, y).tolist()
+        return got, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gram_product_converts_its_operand_once():
+    # x @ transpose(x) and transpose(x) @ x convert x to float64 once and multiply
+    # it by its own transpose; any other pair, even a view of the same shape,
+    # converts both operands.  Every product equals the object-dtype one exactly.
+    # The operands are 3 x 4000 (or 4000 x 3), so each float64 copy is 96 kB
+    # and the 3 x 3 product is tiny next to it.
+    rng = np.random.default_rng(24)
+    a = rng.integers(0, 2**20, size=(3, 4000))  # max^2 * 4000 < 2**53: the float64 path
+    copy_bytes = a.size * 8
+    tall = np.ascontiguousarray(a.T)
+    cases = (
+        ("wide x x^T", NatMatrix._raw(a), transpose(NatMatrix._raw(a)), True),
+        ("tall x^T x", transpose(NatMatrix._raw(tall)), NatMatrix._raw(tall), True),
+        ("wide x times a copy of x^T", NatMatrix._raw(a), NatMatrix._raw(tall.copy()), False),
+        ("tall x^T times a copy of x", transpose(NatMatrix._raw(tall)), NatMatrix._raw(tall.copy()),
+         False),
+        ("a transposed view of other rows", NatMatrix._raw(a), NatMatrix._raw(a[::-1].T), False),
+    )
+    for name, x, y, once in cases:
+        got, peak = _float64_peak(x, y)
+        assert got == (x.a.astype(object) @ y.a.astype(object)).tolist(), name
+        assert (peak < 1.5 * copy_bytes) is once, (name, peak)
+    # Square and single-entry Gram matrices, as classify forms them, on both paths.
+    for shape in ((1, 1), (7, 7), (13, 5), (5, 13)):
+        b = rng.integers(0, 3, size=shape)
+        m = NatMatrix._raw(b)
+        for y in (transpose(m), NatMatrix._raw(np.ascontiguousarray(b.T))):
+            assert mat_mul(m, y).tolist() == (b.astype(object) @ b.T.astype(object)).tolist()
 
 
 def test_mat_mul_dimension_mismatch():
