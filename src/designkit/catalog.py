@@ -23,15 +23,15 @@ its first fault.
 Each document has one large list: the incidence, the projectors or the
 matrix.  ``loads`` first parses the skeleton, the text with everything from
 its first ``[`` to its last ``]`` (the cut) replaced by ``[]`` (``_streamed``).
-If the large list's key holds that placeholder, the cut is the list, and it
-is read without a tree for the whole document.  A canonical one-digit
-incidence (no whitespace, as every 0/1 design designkit renders) is checked
-against its one possible layout as bytes, and numpy reads its digits from one
-byte buffer.  Projectors and matrix rows are decoded one element at a time
-by json's own scanner (``JSONDecoder.raw_decode``) and converted batch by
-batch straight into the result array, so the parse holds one batch's tree,
-not the document's.  Any other text, and every error, goes the general way
-above (``json.loads``, then the bulk checks), with the same messages.
+If the large list's key holds that placeholder, the cut is the list, and a
+canonical one (no whitespace, as designkit renders it) is read from the text
+without a tree.  Its layout is checked as bytes: a one-digit incidence with
+every digit mapped to ``0``, a batch of whole projectors or matrix rows with
+its numerals deleted.  numpy reads the incidence's digits from one byte
+buffer; json reads each batch of complex entries as one flat list of numbers,
+which go straight into the result array.  Any other text, and every error,
+goes the general way above (``json.loads``, then the bulk checks), with the
+same messages.
 
 Rendering gives ``canonical_json`` of the document tree for every schema,
 and builds that tree for none.  A classical document is written straight
@@ -48,6 +48,7 @@ import functools
 import gc
 import json
 import math
+import re
 import sys
 from importlib import resources
 from itertools import chain, islice
@@ -94,10 +95,9 @@ class FormatError(ValueError):
 # The encoder of canonical_json, and of each batch of a rendered complex array.
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False,
                               check_circular=False)
-_DECODER = json.JSONDecoder()  # json.loads's own scanner, one element at a time
 
 # Complex entries per codec batch, about one pg2-7 projector (57 x 57): the
-# parse holds one batch's [re, im] lists at a time, about 120 bytes an entry.
+# parse holds one batch's text, bytes and numbers at a time.
 _BATCH_ENTRIES = 1 << 12
 
 
@@ -259,6 +259,16 @@ def _classical_text(design: ClassicalDesign) -> str:
 
 _ZERO_DIGITS = bytes.maketrans(b"123456789", b"000000000")
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+_NUMERALS = b"0123456789.-+eE"  # every character a JSON number can hold
+_BRACKETS_AS_SPACES = bytes.maketrans(b"[]", b"  ")
+_EMPTY_RE, _EMPTY_IM = re.compile(rb"\[,"), re.compile(rb",\]")  # an [re, im] slot with no number
+
+
+def _layout(leaf: bytes, shape: tuple) -> bytes:
+    """Canonical JSON of nested lists of the given shape, with every innermost element ``leaf``."""
+    for n in reversed(shape):
+        leaf = b"[" + b",".join([leaf] * n) + b"]"
+    return leaf
 
 
 def _canonical_design(text: str, doc: dict, first: int, last: int) -> ClassicalDesign | None:
@@ -274,26 +284,43 @@ def _canonical_design(text: str, doc: dict, first: int, last: int) -> ClassicalD
             and last - first == v * (2 * b + 2)):
         return None
     cut = text[first:last + 1].encode("ascii", "replace")  # never raises: non-ASCII is "?"
-    row = b"[" + b"0," * (b - 1) + b"0]"
-    if cut.translate(_ZERO_DIGITS) != b"[" + b",".join([row] * v) + b"]":
+    if cut.translate(_ZERO_DIGITS) != _layout(b"0", (v, b)):
         return None
     digits = np.frombuffer(cut.translate(_DIGIT_VALUES, b"[],"), np.uint8)
     return ClassicalDesign(NatMatrix._raw(digits.astype(np.int64).reshape(v, b)))
 
 
-def _elements(text: str, first: int, last: int, count: int):
-    """The ``count`` elements of the JSON array ``text[first:last + 1]``, decoded one at a time.
+def _canonical_complex(text: str, first: int, last: int, shape: tuple) -> np.ndarray:
+    """The complex array of ``shape`` that the cut spells canonically (``shape[0]`` None: any length).
 
-    Only commas may stand between elements.  Any other text raises json's
-    ValueError or RecursionError, or a ValueError of its own.
+    Each element of the list ends where ``]`` closes its last entry and all
+    its axes at once, and each but the last is followed by a comma.  The list
+    is read a batch of whole elements at a time.  With its numerals deleted, a
+    batch's text must equal the layout its shape fixes (``[[,],...],...``),
+    and it may hold no ``[,`` or ``,]``, so every [re, im] slot holds one run
+    of numerals and no other place holds any.  json reads the batch, its
+    brackets turned into spaces, as one flat list of numbers, so JSON's number
+    grammar decides what a number is.  Other text raises ValueError, json's
+    errors or OverflowError (an integer beyond binary64).
     """
-    pos = first
-    for still in range(count - 1, -1, -1):  # elements after this one
-        item, pos = _DECODER.raw_decode(text, pos + 1)
-        if not (text.startswith(",", pos) if still else pos == last):
-            raise ValueError(f"not an array of {count} elements with bare commas between them")
-        yield item
-        del item  # a batch's tree is not kept alive while the next is read
+    inner = shape[1:]
+    closes = re.compile(r"\]" * len(shape))
+    room = (last - first) // (6 * math.prod(inner))  # "[0,0]," is the shortest entry
+    bounds = [first, *(m.end() for m in islice(closes.finditer(text, first, last), room + 1))]
+    if not (1 < len(bounds) <= room + 1 and bounds[-1] == last and shape[0] in (None, len(bounds) - 1)):
+        raise ValueError(f"not a list of at most {room} canonical arrays of shape {inner}")
+    out = np.empty((len(bounds) - 1, *inner), dtype=np.complex128)
+    for lo, part in _parts(out):
+        cut = text[bounds[lo] + 1:bounds[lo + len(part)]].encode("ascii")
+        if (lo and text[bounds[lo]] != ","
+                or cut.translate(None, _NUMERALS) != _layout(b"", (*part.shape, 2))[1:-1]
+                or _EMPTY_RE.search(cut) or _EMPTY_IM.search(cut)):
+            raise ValueError(f"elements {lo} on are not canonical text")
+        part.reshape(-1)[:] = np.fromiter(json.loads(b"[" + cut.translate(_BRACKETS_AS_SPACES) + b"]"),
+                                          np.float64, count=2 * part.size).view(np.complex128)
+    if not np.isfinite(out).all():
+        raise ValueError("a non-finite number")
+    return out
 
 
 def classical_from_doc(doc: dict) -> ClassicalDesign:
@@ -326,28 +353,22 @@ def quantum_to_doc(design: QuantumDesign) -> dict:
     return {**doc, key: _complex_doc(a)}
 
 
-def _projector_stack(projectors, v: int, dim: int) -> np.ndarray:
+def _projector_stack(projectors: list, dim: int) -> np.ndarray:
     """The (v, dim, dim) array of ``projectors``, nested [re, im] lists, converted a batch at a time.
 
     A refused batch is walked projector by projector to name its first fault.
     """
-    stack = np.empty((v, dim, dim), dtype=np.complex128)
-    projectors = iter(projectors)
+    stack = np.empty((len(projectors), dim, dim), dtype=np.complex128)
     for lo, part in _parts(stack):
-        _projector_batch(part, list(islice(projectors, len(part))), lo)
+        batch = projectors[lo:lo + len(part)]
+        try:  # the batch's rows, one after another, as one (len(batch) * dim) x dim matrix
+            part[:] = _complex_rows(_entries(batch, len(part), dim), len(part) * dim, dim,
+                                    "projectors").reshape(part.shape)
+        except FormatError:  # name the first refused projector, not the batch
+            for i, p in enumerate(batch, lo):
+                _complex_rows(p, dim, dim, f"projectors[{i}]")
+            raise
     return stack
-
-
-def _projector_batch(out: np.ndarray, batch: list, lo: int) -> None:
-    """Convert ``batch``, projectors ``lo`` on, into ``out``; the batch dies on return."""
-    dim = out.shape[1]
-    try:  # the batch's rows, one after another, as one (len(batch) * dim) x dim matrix
-        out[:] = _complex_rows(_entries(batch, len(out), dim), len(out) * dim, dim,
-                               "projectors").reshape(out.shape)
-    except FormatError:  # name the first refused projector, not the batch
-        for i, p in enumerate(batch, lo):
-            _complex_rows(p, dim, dim, f"projectors[{i}]")
-        raise
 
 
 def quantum_from_doc(doc: dict) -> QuantumDesign:
@@ -362,20 +383,15 @@ def quantum_from_doc(doc: dict) -> QuantumDesign:
     if rows is None or not _only(rows, list) or set(map(len, rows)) != {dim}:
         for i, p in enumerate(raw):
             _complex_rows(p, dim, dim, f"projectors[{i}]")
-    return QuantumDesign._from_stack(_projector_stack(raw, len(raw), dim))
+    return QuantumDesign._from_stack(_projector_stack(raw, dim))
 
 
-def _streamed_quantum(text: str, doc: dict, first: int, last: int) -> QuantumDesign | None:
+def _canonical_quantum(text: str, doc: dict, first: int, last: int) -> QuantumDesign | None:
     """The family of a quantum document whose projector list, the cut, is written canonically."""
     dim = doc.get("dim")
     if not (type(dim) is int and dim >= 1):
         return None
-    # In canonical text each projector ends in "]]]" (its last entry, row and
-    # itself) and nothing else does; a wrong count fails in _elements.
-    v = text.count("]]]", first, last + 1)
-    if not 0 < 6 * v * dim * dim <= last - first:  # "[0,0]," is the shortest entry
-        return None
-    return QuantumDesign._from_stack(_projector_stack(_elements(text, first, last, v), v, dim))
+    return QuantumDesign._from_stack(_canonical_complex(text, first, last, (None, dim, dim)))
 
 
 def _algebra_to_doc(alg: Algebra) -> dict:
@@ -412,16 +428,10 @@ def cpmap_from_doc(doc: dict) -> CpMap:
     return CpMap(in_alg=in_alg, out_alg=out_alg, m=ComplexMatrix._raw(m))
 
 
-def _streamed_cpmap(text: str, doc: dict, first: int, last: int) -> CpMap | None:
-    """The map of a CP-map document whose matrix, the cut, is a list of rows with bare commas."""
+def _canonical_cpmap(text: str, doc: dict, first: int, last: int) -> CpMap:
+    """The map of a CP-map document whose matrix, the cut, is written canonically."""
     in_alg, out_alg = _cpmap_algebras(doc)
-    nrows, ncols = out_alg.coord_dim, in_alg.coord_dim
-    if 6 * nrows * ncols > last - first:  # "[0,0]," is the shortest entry
-        return None
-    m = np.empty((nrows, ncols), dtype=np.complex128)
-    rows = _elements(text, first, last, nrows)
-    for _, part in _parts(m):
-        part[:] = _complex_rows(list(islice(rows, len(part))), len(part), ncols, "matrix")
+    m = _canonical_complex(text, first, last, (out_alg.coord_dim, in_alg.coord_dim))
     return CpMap(in_alg=in_alg, out_alg=out_alg, m=ComplexMatrix._raw(m))
 
 
@@ -429,8 +439,8 @@ def _streamed_cpmap(text: str, doc: dict, first: int, last: int) -> CpMap | None
 # cut is that list; a reader returns None or raises where the text needs the tree.
 _CUT_READERS = (
     (SCHEMA_CLASSICAL, "incidence", _canonical_design),
-    (SCHEMA_QUANTUM, "projectors", _streamed_quantum),
-    (SCHEMA_CPMAP, "matrix", _streamed_cpmap),
+    (SCHEMA_QUANTUM, "projectors", _canonical_quantum),
+    (SCHEMA_CPMAP, "matrix", _canonical_cpmap),
 )
 
 
@@ -451,7 +461,7 @@ def _streamed(text: str):
         for schema, key, read in _CUT_READERS:
             if doc.get("schema") == schema and isinstance(doc.get(key), list):
                 return read(text, doc, first, last)
-    except (ValueError, RecursionError):  # FormatError too: the general path raises it
+    except (ValueError, RecursionError, OverflowError):  # FormatError too: the general path raises it
         pass
     return None
 

@@ -734,7 +734,9 @@ def test_benchmark_style_documents_round_trip_byte_for_byte(monkeypatch):
         assert oracle_dumps(obj) == text
 
 
-# --- Projector lists and matrix rows, decoded one element at a time ---
+# --- Projector lists and matrix rows, read from the text a batch at a time ---
+# A batch's layout is checked as bytes with its numerals deleted, and json
+# reads its numbers as one flat list, brackets turned into spaces.
 
 
 def _tree_loads(text: str):
@@ -780,6 +782,12 @@ def _cut_marks(text: str) -> dict:
     return marks
 
 
+# Numbers spelled so that Python's float() takes them and JSON refuses them, or
+# neither does: each must fail exactly as json.loads of the whole text fails.
+_REFUSED_SPELLINGS = ("+1", ".5", "5.", "01", "-01", "1.e5", "1e", "--1", "1-1", "", "0x1", "1_0",
+                      "\u0661")
+
+
 def _cut_mutation(text: str, rng) -> tuple[str, str]:
     """(what, text with its large list, or a key beside it, restyled or spoiled in one place)."""
     first, last = text.index("["), text.rindex("]")
@@ -795,7 +803,7 @@ def _cut_mutation(text: str, rng) -> tuple[str, str]:
 
     what = pick(["none", "space-between", "space-inside", "extra-key", "number", "bad-value",
                  "trailing-comma", "drop-bracket", "empty-list", "wrong-dim", "ragged-row",
-                 "deep"])
+                 "deep", "number-grammar", "slot-hop"])
     if what == "space-between" and between:
         return what, at(pick(between) + 1, pick([" ", "\n", "\t "]))
     if what == "space-inside":
@@ -831,6 +839,15 @@ def _cut_mutation(text: str, rng) -> tuple[str, str]:
     if what == "deep":  # an entry or an element in far more brackets than json nests
         lo, hi = pick(numbers)
         return what, at(lo, "[" * 5000 + cut[lo:hi] + "]" * 5000, hi - lo)
+    if what == "number-grammar":
+        lo, hi = pick(numbers)
+        return what, at(lo, pick(_REFUSED_SPELLINGS), hi - lo)
+    if what == "slot-hop":  # a number moved across its entry's bracket, or a 7 put beyond it
+        lo, hi = pick(numbers)
+        num, seven = (cut[lo:hi], "") if rng.random() < 0.5 else ("7", cut[lo:hi])
+        if cut[lo - 1] == "[":  # "[re," becomes "re[," or "7[re,"
+            return what, at(lo - 1, num + "[" + seven, hi - lo + 1)
+        return what, at(lo, seven + "]" + num, hi - lo + 1)  # ",im]" becomes ",]im" or ",im]7"
     return "none", text
 
 
@@ -857,17 +874,99 @@ def test_streamed_decode_matches_the_tree_on_seeded_texts(monkeypatch):
             assert got[1] == want[1], (what, text[:300])
         fast = streamed[-1] is not None
         assert not fast or got[0] == "ok", what
-        if what in ("none", "space-inside"):
+        if what == "none":
             assert fast, (what, text[:300])
         seen.setdefault(what, set()).add((fast, got[0]))
     # Both outcomes occur: canonical text takes the fast path, restyled text falls
     # back and parses, and every fault falls back to raise on the general path.
     fails = {(False, "FormatError")}
-    assert seen == {"none": {(True, "ok")}, "space-inside": {(True, "ok")},
+    assert seen == {"none": {(True, "ok")}, "space-inside": {(False, "ok")},
                     "space-between": {(False, "ok")}, "extra-key": {(False, "ok")},
                     "number": {(True, "ok"), *fails}, "bad-value": fails,
                     "trailing-comma": fails, "drop-bracket": fails, "empty-list": fails,
-                    "wrong-dim": fails, "ragged-row": fails, "deep": fails}, seen
+                    "wrong-dim": fails, "ragged-row": fails, "deep": fails,
+                    "number-grammar": fails, "slot-hop": fails}, seen
+
+
+def test_respelled_numbers_and_separators_read_as_on_the_tree_path():
+    # In the 25 projectors of 20 x 20, ten to a batch: the first, middle and
+    # last number, each comma between two projectors (two of them between
+    # batches) and the end of the list, each respelled.
+    text = _streamable_texts()[-1]
+    first, last = text.index("["), text.rindex("]")
+    marks = _cut_marks(text)
+    places = [(first + lo, first + hi, _REFUSED_SPELLINGS)
+              for lo, hi in (marks["numbers"][i] for i in (0, len(marks["numbers"]) // 2, -1))]
+    places += [(first + i, first + i + 1, ("5", " ", "", "5,")) for i in marks["between"]]
+    places.append((last, last, ("5", " ", "5,")))
+    assert len(places) == 28
+    for lo, hi, spellings in places:
+        for new in spellings:
+            bad = text[:lo] + new + text[hi:]
+            got, want = _outcome(loads, bad), _outcome(_tree_loads, bad)
+            assert got[0] == want[0] and (got == want or _same_value(got[1], want[1])), (lo, new)
+
+
+# Entries at the edges of binary64 and of its shortest repr, and integer
+# literals; "@-0@" becomes the bare literal -0, which json reads as the int 0.
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                1.7976931348623157e308, 0.30000000000000004, -0.1, 1 / 3, 1e-05, 1e16, -2.5e-300)
+_EDGE_INTS = (0, "@-0@", 7, 9007199254740993, -9007199254740993)
+_EDGE_SPELLINGS = ("-0.0", "5e-324", "2.2250738585072014e-308", "1e+308", "-1e+308",
+                   "1.7976931348623157e+308", "0.30000000000000004", "0.3333333333333333", "1e-05",
+                   "1e+16", "[0,", ",-0]", "[-0,", ",7]", "9007199254740993")
+# One bad entry, past the first batch: each must fail exactly as on the tree path.
+_EDGE_FAULTS = ("1e400", "-1e400", "9" * 400, "NaN", "true", '"0.5"', "[]", "[0.5]")
+
+
+def _edge_text(rng, kind: str, fault: str | None) -> str:
+    """Canonical text of a seeded family or map whose entries sit at the edges above."""
+    if kind == "quantum":  # 20 x 20 projectors, ten to a batch
+        shape, head = (int(rng.integers(11, 26)), 20, 20), {"schema": "quantum-design/1", "dim": 20}
+    else:  # rows of 300 or 512 entries, 13 or 8 to a batch, 16 rows
+        n_in = int(rng.choice([300, 512]))
+        shape, head = (16, n_in), {"schema": "cp-map/1", "convention": "superoperator",
+                                   "in": {"kind": "commutative", "n": n_in},
+                                   "out": {"kind": "matrix", "n": 4}}
+    leaves = (rng.standard_normal((*shape, 2)) * 10.0 ** rng.integers(-20, 20, (*shape, 2))).tolist()
+    flat = [pair for rows in (leaves if kind == "quantum" else [leaves]) for row in rows for pair in row]
+    edges = _EDGE_FLOATS + _EDGE_INTS
+    for pair in flat:
+        if rng.random() < 0.3:
+            pair[int(rng.integers(2))] = edges[int(rng.integers(len(edges)))]
+    if fault is not None:  # in an entry of the second batch or later
+        batch = catalog._BATCH_ENTRIES // (shape[-1] * (shape[-2] if kind == "quantum" else 1))
+        per = len(flat) // shape[0]
+        flat[int(rng.integers(batch * per, len(flat)))][int(rng.integers(2))] = "@" + fault + "@"
+    doc = {**head, "projectors" if kind == "quantum" else "matrix": leaves}
+    return re.sub(r'"@(.*?)@"', lambda m: m.group(1).replace('\\"', '"'), canonical_json(doc))
+
+
+def test_edge_values_read_bit_for_bit_as_on_the_tree_path(monkeypatch):
+    rng = np.random.default_rng(25)
+    streamed = []
+
+    def spy(text, real=catalog._streamed):
+        streamed.append(real(text))
+        return streamed[-1]
+
+    monkeypatch.setattr(catalog, "_streamed", spy)
+    checked, spelled = set(), set()
+    for trial in range(40):
+        kind = ("quantum", "cpmap")[trial % 2]
+        fault = None if trial % 4 < 2 else _EDGE_FAULTS[trial // 4 % len(_EDGE_FAULTS)]
+        text = _edge_text(rng, kind, fault)
+        spelled |= {lit for lit in _EDGE_SPELLINGS if lit in text}
+        got, want = _outcome(loads, text), _outcome(_tree_loads, text)
+        if fault is None:
+            assert got[0] == want[0] == "ok" and streamed[-1] is not None, (kind, got, want)
+            a, b = ((x._stack if kind == "quantum" else x.m.a) for x in (got[1], want[1]))
+            assert a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        else:
+            assert got == want and got[0] == "FormatError" and streamed[-1] is None, (fault, got)
+        checked.add((kind, fault is None))
+    assert checked == {("quantum", True), ("quantum", False), ("cpmap", True), ("cpmap", False)}
+    assert spelled == set(_EDGE_SPELLINGS)
 
 
 def _conjugated_family(d: int):
