@@ -25,21 +25,23 @@ matrix.  ``loads`` first parses the skeleton, the text with everything from
 its first ``[`` to its last ``]`` (the cut) replaced by ``[]`` (``_streamed``).
 If the large list's key holds that placeholder, the cut is the list, and a
 canonical one (no whitespace, as designkit renders it) is read from the text
-without a tree.  Its layout is checked as bytes: a one-digit incidence with
-every digit mapped to ``0``, a batch of whole projectors or matrix rows with
-its numerals deleted.  numpy reads the incidence's digits from one byte
-buffer; json reads each batch of complex entries as one flat list of numbers,
-which go straight into the result array.  Any other text, and every error,
-goes the general way above (``json.loads``, then the bulk checks), with the
-same messages.
+without a tree.  Its layout is checked as bytes.  A one-digit incidence, and
+a batch of whole projectors or matrix rows whose every number is ``d.d`` (as
+in a ``functor_q`` image), is a fixed-width grid: with every digit mapped to
+``0`` it equals one layout, and numpy reads its digits from one byte buffer
+(``_digit_grid``).  Any other batch, its numerals deleted, must equal the
+layout of its shape, and json reads it as one flat list of numbers.  Any
+other text, and every error, goes the general way above (``json.loads``,
+then the bulk checks), with the same messages.
 
 Rendering gives ``canonical_json`` of the document tree for every schema,
 and builds that tree for none.  A classical document is written straight
 from the integer array, digit by digit in numpy (``_classical_text``).  A
-quantum or CP-map document joins the json encodings of its complex array's
-batches between the fixed text of its other keys (``_complex_text``).  The
-encoder skips json's cycle check, because every value rendered is a tree
-this package built.
+quantum or CP-map document joins its complex array's batches between the
+fixed text of its other keys (``_complex_text``): a batch of numbers from
+0.0 to 9.9 as a grid of digits (``_fixed_text``), any other as its json
+encoding.  The encoder skips json's cycle check, because every value
+rendered is a tree this package built.
 """
 
 from __future__ import annotations
@@ -201,6 +203,23 @@ def _parts(a: np.ndarray):
         yield lo, a[lo : lo + step]
 
 
+def _fixed_text(a: np.ndarray) -> str | None:
+    """``_CANONICAL.encode(_complex_doc(a))`` if its every number is d.d (0.0 to 9.9, not -0.0), else None.
+
+    ``_layout(b"0.0", ...)`` with the digits written in: each list is ``[`` and
+    its elements, each followed by one byte, so each axis is one reshape of a view.
+    """
+    f = np.stack([a.real, a.imag], -1)
+    n = np.rint(f * 10) if 0 <= f.min() <= f.max() < 10 else None  # so f * 10 cannot overflow
+    if n is None or not (n / 10 == f).all() or np.signbit(f).any():
+        return None
+    text = leaves = np.frombuffer(_layout(b"0.0", f.shape), np.uint8).copy()
+    for k in f.shape:
+        leaves = leaves[..., 1:].reshape(*leaves.shape[:-1], k, -1)[..., :-1]
+    leaves[..., ::2] = np.stack(np.divmod(n.astype(np.uint8), 10), -1) + ord("0")
+    return text.tobytes().decode("ascii")
+
+
 def _complex_text(doc: dict, key: str, a: np.ndarray) -> str:
     """``canonical_json({**doc, key: _complex_doc(a)})``, rendered a batch of ``a`` at a time."""
     parts = []
@@ -210,7 +229,8 @@ def _complex_text(doc: dict, key: str, a: np.ndarray) -> str:
             parts.append(_CANONICAL.encode(doc[k]))
             continue
         for lo, part in _parts(a):  # each part's list, less its brackets
-            parts.append(("," if lo else "[") + _CANONICAL.encode(_complex_doc(part))[1:-1])
+            text = _fixed_text(part) or _CANONICAL.encode(_complex_doc(part))
+            parts.append(("," if lo else "[") + text[1:-1])
         parts.append("]")
     parts.append("}\n")
     return "".join(parts)
@@ -271,23 +291,30 @@ def _layout(leaf: bytes, shape: tuple) -> bytes:
     return leaf
 
 
+def _digit_grid(text: str, lo: int, hi: int, leaf: bytes, shape: tuple) -> np.ndarray | None:
+    """The digits of ``text[lo:hi]`` if it is ``_layout(leaf, shape)`` less its outer brackets
+    with any digits for the leaf's zeros, else None (in O(1) when the length differs)."""
+    size = len(leaf)
+    for n in reversed(shape):
+        size = n * (size + 1) + 1
+    if hi - lo != size - 2:
+        return None
+    cut = text[lo:hi].encode("ascii", "replace")  # never raises: non-ASCII is "?"
+    if cut.translate(_ZERO_DIGITS) != b",".join([_layout(leaf, shape[1:])] * shape[0]):
+        return None
+    return np.frombuffer(cut.translate(_DIGIT_VALUES, b"[],."), np.uint8)
+
+
 def _canonical_design(text: str, doc: dict, first: int, last: int) -> ClassicalDesign | None:
     """The design of a classical document whose incidence, the cut, is canonical one-digit text.
 
-    The cut's length must be ``v (2b + 2) + 1``, checked before anything is
-    allocated.  With every digit mapped to ``0`` it must then equal
-    ``[[0,...,0],...,[0,...,0]]``; the digits, with the brackets and commas
-    deleted, are the row-major entries, read by numpy from one byte buffer.
+    With every digit mapped to ``0`` the cut must equal ``[[0,...,0],...,[0,...,0]]``;
+    its digits are the row-major entries.
     """
     v, b = doc.get("v"), doc.get("b")
-    if not (type(v) is int and type(b) is int and v >= 1 and b >= 1
-            and last - first == v * (2 * b + 2)):
-        return None
-    cut = text[first:last + 1].encode("ascii", "replace")  # never raises: non-ASCII is "?"
-    if cut.translate(_ZERO_DIGITS) != _layout(b"0", (v, b)):
-        return None
-    digits = np.frombuffer(cut.translate(_DIGIT_VALUES, b"[],"), np.uint8)
-    return ClassicalDesign(NatMatrix._raw(digits.astype(np.int64).reshape(v, b)))
+    digits = (_digit_grid(text, first + 1, last, b"0", (v, b))
+              if type(v) is int and type(b) is int and v >= 1 and b >= 1 else None)
+    return None if digits is None else ClassicalDesign(NatMatrix._raw(digits.astype(np.int64).reshape(v, b)))
 
 
 def _canonical_complex(text: str, first: int, last: int, shape: tuple) -> np.ndarray:
@@ -311,9 +338,15 @@ def _canonical_complex(text: str, first: int, last: int, shape: tuple) -> np.nda
         raise ValueError(f"not a list of at most {room} canonical arrays of shape {inner}")
     out = np.empty((len(bounds) - 1, *inner), dtype=np.complex128)
     for lo, part in _parts(out):
-        cut = text[bounds[lo] + 1:bounds[lo + len(part)]].encode("ascii")
-        if (lo and text[bounds[lo]] != ","
-                or cut.translate(None, _NUMERALS) != _layout(b"", (*part.shape, 2))[1:-1]
+        start, end = bounds[lo] + 1, bounds[lo + len(part)]
+        if lo and text[start - 1] != ",":
+            raise ValueError(f"elements {lo} on are not canonical text")
+        digits = _digit_grid(text, start, end, b"0.0", (*part.shape, 2))
+        if digits is not None:  # "a.b" is (10 a + b) / 10, correctly rounded as float() rounds it
+            part.reshape(-1).view(np.float64)[:] = (10 * digits[::2] + digits[1::2]).astype(np.float64) / 10
+            continue
+        cut = text[start:end].encode("ascii")
+        if (cut.translate(None, _NUMERALS) != _layout(b"", (*part.shape, 2))[1:-1]
                 or _EMPTY_RE.search(cut) or _EMPTY_IM.search(cut)):
             raise ValueError(f"elements {lo} on are not canonical text")
         part.reshape(-1)[:] = np.fromiter(json.loads(b"[" + cut.translate(_BRACKETS_AS_SPACES) + b"]"),

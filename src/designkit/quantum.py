@@ -277,11 +277,11 @@ def _joint_patterns(design: QuantumDesign, tol: Tolerance) -> np.ndarray:
         h += weight * a
     w, u = np.linalg.eigh(h)
     threshold = b * tol.slack(1.0)
-    pattern, residual = _patterns(stack, u)
+    pattern, residual, coupling = _patterns(stack, u, threshold)
     failing = np.flatnonzero(residual > threshold)
     if failing.size:
-        components = _coupled_components(stack, w, u, failing, float(c.sum()) * threshold,
-                                         threshold)
+        components = _coupled_components(stack, w, u, failing, coupling,
+                                         float(c.sum()) * threshold, threshold)
         # Each split is held to the residual's own threshold.
         split_tol = Tolerance(abs_eps=threshold, rel_eps=0.0)
         refined = []
@@ -298,46 +298,52 @@ def _joint_patterns(design: QuantumDesign, tol: Tolerance) -> np.ndarray:
                 done += [part[0] for part in parts if len(part) == 1]
             u[:, cols] = np.column_stack(done + [x for vecs in groups for x in vecs])
             refined += cols
-        pattern[:, refined], residual = _patterns(stack, u[:, refined])
+        pattern[:, refined], residual, _ = _patterns(stack, u[:, refined])
         if not (residual <= threshold).all():
             raise _NotCommuting()
     order = np.lexsort(-pattern[::-1])
     return pattern[:, order].astype(np.int64)
 
 
-def _patterns(stack: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _patterns(stack: np.ndarray, u: np.ndarray, threshold: float | None = None) -> tuple:
     # d_ij = rint(Re u_j^dagger p_i u_j) and the column residuals
     # max_i ||p_i u_j - d_ij u_j||_max, infinite where some d_ij is not 0 or 1.
-    # One product p_i u per projector, in batches.
+    # One product p_i u per projector, in batches.  If every residual is above
+    # threshold after the first batch, as on mutually unbiased bases, the coupling
+    # max_i |u_k^dagger p_i u_j| of all columns is read off the same products, else None.
     step = _batch_size(u.shape[0])
     rows = []
     residual = np.zeros(u.shape[1])
+    coupling = None if threshold is None else np.zeros((u.shape[1], u.shape[1]))
     for lo in range(0, len(stack), step):
         r = stack[lo : lo + step] @ u
         d = np.rint(np.einsum("aj,saj->sj", u.conj(), r).real)
-        r -= d[:, np.newaxis, :] * u
-        np.maximum(residual, np.abs(r).max(axis=(0, 1)), out=residual)
+        np.maximum(residual, np.abs(d[:, np.newaxis, :] * u - r).max(axis=(0, 1)), out=residual)
+        residual[~((d == 0.0) | (d == 1.0)).all(axis=0)] = np.inf
         rows.append(d)
-    pattern = np.concatenate(rows)
-    residual[~((pattern == 0.0) | (pattern == 1.0)).all(axis=0)] = np.inf
-    return pattern, residual
+        if coupling is not None and (lo or (residual > threshold).all()):
+            np.maximum(coupling, np.abs(u.conj().T @ r).max(axis=0), out=coupling)
+        else:
+            coupling = None
+    return np.concatenate(rows), residual, coupling
 
 
 def _coupled_components(
     stack: np.ndarray, w: np.ndarray, u: np.ndarray, failing: np.ndarray,
-    witness_bound: float, threshold: float,
+    coupling: np.ndarray | None, witness_bound: float, threshold: float,
 ) -> list[list[int]]:
     # Connected components of the graph joining each failing column j to its
     # partners k, those with max_i |u_k^dagger p_i u_j| above threshold.
     # Pairwise commutators within tolerance keep |w_j - w_k| |u_k^dagger p_i u_j|
     # = |u_k^dagger [h, p_i] u_j| below witness_bound, so a larger value proves
-    # the family does not commute.
-    coupling = np.zeros((u.shape[0], failing.size))
-    u_h, u_f = u.conj().T, u[:, failing]
-    step = _batch_size(u.shape[0])
-    for lo in range(0, len(stack), step):
-        m = np.abs(u_h @ stack[lo : lo + step] @ u_f)
-        np.maximum(coupling, m.max(axis=0), out=coupling)
+    # the family does not commute.  Unless _patterns gave it, coupling is formed here.
+    if coupling is None:
+        coupling = np.zeros((u.shape[0], failing.size))
+        u_h, u_f = u.conj().T, u[:, failing]
+        step = _batch_size(u.shape[0])
+        for lo in range(0, len(stack), step):
+            m = np.abs(u_h @ stack[lo : lo + step] @ u_f)
+            np.maximum(coupling, m.max(axis=0), out=coupling)
     coupling[failing, np.arange(failing.size)] = 0.0
     if not (np.abs(w[:, np.newaxis] - w[failing]) * coupling).max() <= witness_bound:
         raise _NotCommuting()

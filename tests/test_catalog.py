@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from designkit.catalog import (
     classical_from_doc,
     classical_to_doc,
     cpmap_from_doc,
+    cpmap_to_doc,
     dumps,
     loads,
     quantum_from_doc,
@@ -36,7 +38,7 @@ from designkit.classical import (
     gen_projective_plane,
     tensor,
 )
-from designkit.cpmaps import Algebra, CpMap, verify_cp_design
+from designkit.cpmaps import Algebra, CpMap, functor_q, verify_cp_design
 from designkit.linalg import DEFAULT_TOL, ComplexMatrix, NatMatrix
 from designkit.quantum import QuantumDesign, _batch_size, classify_quantum, mub_generate, mub_verify
 from test_properties import assert_nat_storage
@@ -751,13 +753,15 @@ def _tree_loads(text: str):
 
 
 def _streamable_texts():
-    """Canonical quantum and CP-map texts: the benchmark-style ones and a family of 20 x 20
-    projectors, ten to a batch, so that a fault can sit past the first batch."""
+    """Canonical quantum and CP-map texts: the benchmark-style ones, the functor image of
+    pg2-5 (31 diagonal 0/1 projectors, four to a batch, each number spelled d.d) and a
+    family of 20 x 20 projectors, ten to a batch, so that a fault can sit past the first
+    batch of either reader."""
     texts = [t for t in _benchmark_style_texts() if '"classical-design/1"' not in t]
     rng = np.random.default_rng(24)
     stack = rng.standard_normal((25, 20, 20)) + 1j * rng.standard_normal((25, 20, 20))
-    assert catalog._BATCH_ENTRIES // 400 == 10
-    return texts + [dumps(QuantumDesign._from_stack(stack))]
+    assert catalog._BATCH_ENTRIES // 400 == 10 and catalog._BATCH_ENTRIES // 31**2 == 4
+    return texts + [dumps(functor_q(gen_projective_plane(5))), dumps(QuantumDesign._from_stack(stack))]
 
 
 @functools.cache
@@ -967,6 +971,95 @@ def test_edge_values_read_bit_for_bit_as_on_the_tree_path(monkeypatch):
         checked.add((kind, fault is None))
     assert checked == {("quantum", True), ("quantum", False), ("cpmap", True), ("cpmap", False)}
     assert spelled == set(_EDGE_SPELLINGS)
+
+
+# Entries n / 10 (n in 0..99) are read and written as a fixed-width grid of
+# digits; these values look like them and must not be.
+_NOT_FIXED = (-0.0, 10.0, 0.30000000000000004, 1e-05)
+
+
+def _tenths(rng, kind: str, spoil: str | None, edge: float):
+    """A seeded family or map of n / 10 entries in four batches or more; with ``edge`` in
+    one entry of its first, a middle or its last batch (``spoil``)."""
+    if kind == "quantum":  # 16 x 16 projectors, 16 to a batch
+        shape, per = (int(rng.integers(49, 90)), 16, 16), 16
+    else:  # rows of 1024 entries, 4 to a batch
+        shape, per = (16, 1024), 4
+    a = (rng.integers(0, 100, (*shape, 2)) / 10.0).view(np.complex128)[..., 0]
+    if rng.random() < 0.5:  # some batches all 0/1, as in a functor image
+        a[: per * 2] = rng.integers(0, 2, a[: per * 2].shape)
+    batches = -(-shape[0] // per)
+    if spoil is not None:
+        at = {"first": 0, "middle": batches // 2, "last": batches - 1}[spoil]
+        entry = a[at * per + int(rng.integers(min(per, shape[0] - at * per)))].reshape(-1)
+        i = int(rng.integers(entry.size))
+        entry[i] = complex(edge, entry[i].imag) if rng.random() < 0.5 else complex(entry[i].real, edge)
+    if kind == "quantum":
+        return QuantumDesign._from_stack(a), batches
+    return CpMap(in_alg=Algebra.commutative(1024), out_alg=Algebra.matrix(4),
+                 m=ComplexMatrix._raw(a)), batches
+
+
+def test_tenths_read_and_write_as_on_the_tree_path(monkeypatch):
+    rng = np.random.default_rng(26)
+    grids = []  # per batch read or written: whether the digit grid took it
+
+    def spy(real):
+        def counted(*args):
+            out = real(*args)
+            grids.append(out is not None)
+            return out
+        return counted
+
+    monkeypatch.setattr(catalog, "_digit_grid", spy(catalog._digit_grid))
+    monkeypatch.setattr(catalog, "_fixed_text", spy(catalog._fixed_text))
+    seen = set()
+    for trial in range(48):
+        kind = ("quantum", "cpmap")[trial % 2]
+        spoil = (None, "first", "middle", "last")[trial // 2 % 4]
+        edge = _NOT_FIXED[trial // 8 % len(_NOT_FIXED)]
+        obj, batches = _tenths(rng, kind, spoil, edge)
+        grids.clear()
+        text = dumps(obj)
+        to_doc = quantum_to_doc if kind == "quantum" else cpmap_to_doc
+        assert text == canonical_json(to_doc(obj)), (kind, spoil, edge)
+        got, want = loads(text), _tree_loads(text)
+        a, b, c = ((x._stack if kind == "quantum" else x.m.a) for x in (got, want, obj))
+        assert a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        assert np.array_equal(a.view(np.uint64), c.view(np.uint64))
+        # Written, then read: every batch but the spoiled one on the grid, both ways.
+        fixed = [batches - (spoil is not None)] * 2
+        assert len(grids) == 2 * batches and [sum(grids[:batches]), sum(grids[batches:])] == fixed
+        seen.add((kind, spoil, edge if spoil else None))
+    assert len(seen) == 2 * (1 + 3 * len(_NOT_FIXED))
+
+
+def test_functor_image_reads_no_batch_through_json(monkeypatch):
+    # Each of the eight batches of the pg2-5 image is a digit grid; json parses
+    # only the skeleton.  A conjugated family shows that the count is live.
+    calls = []
+    real = json.loads
+
+    def counting(s, *args, **kwargs):
+        calls.append(isinstance(s, bytes))
+        return real(s, *args, **kwargs)
+
+    for design, flat in ((functor_q(gen_projective_plane(5)), 0), (_conjugated_family(5), 8)):
+        text = dumps(design)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(catalog.json, "loads", counting)
+            got = loads(text)
+        assert _same_value(got, design) and calls.count(False) == 1 and calls.count(True) == flat
+
+
+def test_huge_and_tiny_entries_render_without_a_numpy_warning():
+    a = np.array([[1e308, -1e308], [5e-324, 0.5]]) + 1j * np.array([[0.1, 2.5], [-1e308, 9.9]])
+    f = CpMap(in_alg=Algebra.commutative(2), out_alg=Algebra.commutative(2), m=ComplexMatrix._raw(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dumps(f) == canonical_json(cpmap_to_doc(f))
+        assert _same_value(loads(dumps(f)), f)
 
 
 def _conjugated_family(d: int):

@@ -417,6 +417,52 @@ def test_equal_weight_sums_fall_back_to_the_refinement(monkeypatch):
         to_classical(mub)
 
 
+def _two_sided_coupling(stack, u, failing):
+    # max_i |u_k^dagger p_i u_j| over the failing columns j, formed as (u^dagger p_i) u_F.
+    step = quantum._batch_size(u.shape[0])
+    return np.max([np.abs(u.conj().T @ stack[lo : lo + step] @ u[:, failing]).max(axis=0)
+                   for lo in range(0, len(stack), step)], axis=0)
+
+
+def test_coupling_of_a_family_failing_everywhere_comes_from_the_first_products():
+    # Mutually unbiased bases, in one batch, and random rank-one families of
+    # 48 x 48 projectors, 14 to a batch: every column fails in the first batch.
+    # Rotated planes fail in some columns only and keep the two-sided product.
+    rng = np.random.default_rng(26)
+    families = [mub_verify(mub_generate(d, k)).design for d, k in ((2, 3), (3, 4), (5, 3), (13, 14))]
+    for v in (20, 40):
+        x = rng.normal(size=(v, 48)) + 1j * rng.normal(size=(v, 48))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        families.append(QuantumDesign._from_stack(x[:, :, np.newaxis] * x[:, np.newaxis, :].conj()))
+    chi = np.array(gen_projective_plane(3).chi.tolist())
+    families += [rotated_family(rng, chi, eps) for eps in (1e-7, 1e-2)]
+    reused = kept = 0
+    for design in families:
+        stack, c = design._stack, quantum._weights(design.v)
+        w, u = np.linalg.eigh(np.einsum("a,aij->ij", c, stack))
+        threshold = design.b * DEFAULT_TOL.slack(1.0)
+        _, residual, coupling = quantum._patterns(stack, u, threshold)
+        failing = np.flatnonzero(residual > threshold)
+        if not failing.size:
+            continue
+        want = _two_sided_coupling(stack, u, failing)
+        if coupling is not None:
+            reused += 1
+            assert failing.size == design.b
+            assert np.abs(coupling - want).max() <= 1e-13
+        else:
+            kept += 1
+        verdicts = []
+        for given in (coupling, None):
+            try:
+                verdicts.append(quantum._coupled_components(
+                    stack, w, u, failing, given, float(c.sum()) * threshold, threshold))
+            except quantum._NotCommuting:
+                verdicts.append("not commuting")
+        assert verdicts[0] == verdicts[1]
+    assert reused == 6 and kept >= 1
+
+
 def test_joint_eigenbasis_refuses_diagonals_off_zero_and_one():
     # Validation keeps such families away from the joint eigenbasis; on its
     # own, the check still must not round 0.5 to a pattern entry.
