@@ -38,10 +38,12 @@ Rendering gives ``canonical_json`` of the document tree for every schema,
 and builds that tree for none.  A classical document is written straight
 from the integer array, digit by digit in numpy (``_classical_text``).  A
 quantum or CP-map document joins its complex array's batches between the
-fixed text of its other keys (``_complex_text``): a batch of numbers from
-0.0 to 9.9 as a grid of digits (``_fixed_text``), any other as its json
-encoding.  The encoder skips json's cycle check, because every value
-rendered is a tree this package built.
+fixed text of its other keys (``_complex_text``).  A batch of numbers from
+0.0 to 9.9 (a ``functor_q`` image, a ``classical_to_cp`` map) is a grid of
+digits (``_fixed_text``).  Any other (a MUB family, a conjugated family, a
+channel) is written from a table of its distinct numbers, each rendered by
+json once (``_table_text``).  The encoder skips json's cycle check, because
+every value rendered is a tree this package built.
 """
 
 from __future__ import annotations
@@ -220,6 +222,29 @@ def _fixed_text(a: np.ndarray) -> str | None:
     return text.tobytes().decode("ascii")
 
 
+def _table_text(a: np.ndarray) -> str:
+    """``_CANONICAL.encode(_complex_doc(a))``, each distinct number rendered once.
+
+    The numbers, real and imaginary parts in row-major order, are told apart by
+    their bits, so ``-0.0`` is not ``0.0``.  json renders the distinct ones (and
+    refuses a non-finite one); their text is interleaved with the brackets and
+    commas that the shape fixes.  ``np.unique`` takes a 1-D view: with ``axis``
+    it would import ``numpy.ma``.
+    """
+    values, inverse = np.unique(np.ascontiguousarray(a).reshape(-1).view(np.uint64),
+                                return_inverse=True)
+    reprs = _CANONICAL.encode(values.view(np.float64).tolist())[1:-1].split(",")
+    seps, depth = [","], 1  # the text after each number but the last, in the innermost lists
+    for n in reversed(a.shape):  # n lists of depth `depth`, apart by "]" * depth + "," + "[" * depth
+        seps = (seps + ["]" * depth + "," + "[" * depth]) * n
+        seps.pop()
+        depth += 1
+    tokens = [None] * (2 * len(inverse) - 1)
+    tokens[::2] = map(reprs.__getitem__, inverse.tolist())
+    tokens[1::2] = seps
+    return "[" * depth + "".join(tokens) + "]" * depth
+
+
 def _complex_text(doc: dict, key: str, a: np.ndarray) -> str:
     """``canonical_json({**doc, key: _complex_doc(a)})``, rendered a batch of ``a`` at a time."""
     parts = []
@@ -229,7 +254,7 @@ def _complex_text(doc: dict, key: str, a: np.ndarray) -> str:
             parts.append(_CANONICAL.encode(doc[k]))
             continue
         for lo, part in _parts(a):  # each part's list, less its brackets
-            text = _fixed_text(part) or _CANONICAL.encode(_complex_doc(part))
+            text = _fixed_text(part) or _table_text(part)
             parts.append(("," if lo else "[") + text[1:-1])
         parts.append("]")
     parts.append("}\n")

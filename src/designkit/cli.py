@@ -10,19 +10,19 @@ writes one ``error:`` line to stderr.  ``--json`` switches reports from
 human-readable lines to canonical design-report/1 documents, which are
 byte-identical across runs for identical inputs.
 
-Start-up: ``--version``, ``--help`` and usage errors load no numpy and no
-library module.  The first request that runs a handler imports numpy and
-all five library modules, once per process.  ``catalog`` and classical-only
-requests load them all too: ``catalog`` imports the others at module level,
-and perfbench/tracing.py reads these names from this module and needs
-``quantum`` and ``cpmaps`` loaded, until it can follow later imports.
+Start-up: ``--version``, ``--help`` and usage errors load no numpy, no
+library module and no ``hashlib`` (OpenSSL's ``_hashlib``), which only a
+report's input digest needs.  The first request that runs a handler imports
+numpy and all five library modules, once per process.  ``catalog`` and
+classical-only requests load them all too: ``catalog`` imports the others at
+module level, and perfbench/tracing.py reads these names from this module and
+needs ``quantum`` and ``cpmaps`` loaded, until it can follow later imports.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import operator
 import sys
 
@@ -96,10 +96,14 @@ _DIGEST_SLICE = 1 << 16  # characters hashed per UTF-8 encoding in _digest
 
 
 def _read_text(path: str) -> str:
+    # A file is read as bytes and decoded once, as strict UTF-8; "\r\n" and a lone
+    # "\r" become "\n", as in text mode, and a decode error counts the file's bytes.
+    # str.replace's search for "\r\n" is slow, so a text with no "\r" skips it.
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -113,6 +117,8 @@ def _write_text(path: str | None, text: str) -> None:
 def _digest(text: str) -> str:
     # The sha256 of text's UTF-8 bytes, encoded a slice at a time: each character
     # encodes alone, so no whole-text copy is needed for the same digest.
+    import hashlib
+
     h = hashlib.sha256()
     for lo in range(0, len(text), _DIGEST_SLICE):
         h.update(text[lo : lo + _DIGEST_SLICE].encode("utf-8"))

@@ -40,7 +40,14 @@ from designkit.classical import (
 )
 from designkit.cpmaps import Algebra, CpMap, functor_q, verify_cp_design
 from designkit.linalg import DEFAULT_TOL, ComplexMatrix, NatMatrix
-from designkit.quantum import QuantumDesign, _batch_size, classify_quantum, mub_generate, mub_verify
+from designkit.quantum import (
+    QuantumDesign,
+    _batch_size,
+    classify_quantum,
+    mub_generate,
+    mub_verify,
+    tensor_q,
+)
 from test_properties import assert_nat_storage
 
 
@@ -1090,6 +1097,128 @@ def test_codec_holds_one_batch_of_a_conjugated_family_not_its_tree():
             tracemalloc.stop()
         assert out == text if isinstance(out, str) else _same_value(out, design)
         assert peak < bound, (peak, bound, stack_bytes)
+
+
+def _complex_array(obj) -> np.ndarray:
+    return obj._stack if isinstance(obj, QuantumDesign) else obj.m.a
+
+
+def _assert_written_like_the_tree(obj) -> None:
+    """dumps(obj) is canonical_json of its tree, and loads of it gives back obj's every bit."""
+    text = dumps(obj)
+    assert text == canonical_json((quantum_to_doc if isinstance(obj, QuantumDesign) else cpmap_to_doc)(obj))
+    got, want = (np.ascontiguousarray(_complex_array(x)) for x in (loads(text), obj))
+    assert got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.fixture
+def written(monkeypatch):
+    """Per batch dumps writes: "grid", or (distinct numbers in it, numbers json rendered for it)."""
+    out, rendered = [], []
+    real_fixed, real_table, real_encode = catalog._fixed_text, catalog._table_text, catalog._CANONICAL.encode
+
+    def fixed(a):
+        text = real_fixed(a)
+        if text is not None:
+            out.append("grid")
+        return text
+
+    def table(a):
+        rendered.clear()
+        text = real_table(a)
+        out.append((np.unique(np.ascontiguousarray(a).view(np.uint64)).size, sum(rendered)))
+        return text
+
+    def encode(o):
+        rendered.append(len(o) if isinstance(o, list) else 0)
+        return real_encode(o)
+
+    monkeypatch.setattr(catalog, "_fixed_text", fixed)
+    monkeypatch.setattr(catalog, "_table_text", table)
+    monkeypatch.setattr(catalog._CANONICAL, "encode", encode)
+    return out
+
+
+def test_each_distinct_number_of_a_batch_is_rendered_once(written):
+    # MUB families and their tensor products repeat a few values; a functor
+    # image takes the grid, and a conjugated family's numbers are mostly distinct.
+    mubs = [mub_generate(d, d + 1).design for d in (2, 3, 5, 7, 11, 13)]
+    cases = [*mubs, tensor_q(mubs[0], mubs[1]), functor_q(gen_projective_plane(5)), _conjugated_family(5)]
+    for obj in cases:
+        written.clear()
+        _assert_written_like_the_tree(obj)
+        a = _complex_array(obj)
+        if obj is cases[-2]:
+            assert written == ["grid"] * len(written) and len(written) == 8
+            continue
+        assert all(entry != "grid" and entry[0] == entry[1] for entry in written), written
+        assert len(written) == -(-len(a) // max(1, catalog._BATCH_ENTRIES // a[0].size))
+        distinct = sum(n for n, _ in written)
+        if obj is cases[-1]:
+            assert distinct > a.size  # of 2 * a.size numbers
+        elif obj.b >= 5:
+            assert distinct * 20 < a.size, (obj.b, distinct)
+
+
+# Values that json spells in full: both zeros, the least subnormal and normal, the
+# extremes and a decimal with no exact binary64.
+_FEW_VALUES = (-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, 0.1)
+
+
+def test_seeded_arrays_drawn_from_few_values_are_written_like_the_tree():
+    rng = np.random.default_rng(27)
+    pool = np.array(_FEW_VALUES)
+    for trial in range(60):
+        values = rng.choice(pool, int(rng.integers(1, len(pool) + 1)), replace=False)
+        if trial % 2 == 0:
+            b = int(rng.integers(1, 30))
+            a = rng.choice(values, (int(rng.integers(1, 40)), b, b, 2))
+            obj = QuantumDesign._from_stack(a.view(np.complex128)[..., 0])
+        else:  # as built, in Fortran order, or one row longer than a batch in Fortran order
+            n_in = int(rng.choice([3, 700, catalog._BATCH_ENTRIES + 1]))
+            m = rng.choice(values, (int(rng.integers(1, 9)), n_in, 2)).view(np.complex128)[..., 0]
+            if trial % 4 == 1:
+                m = np.asfortranarray(m)
+            obj = CpMap(in_alg=Algebra.commutative(n_in), out_alg=Algebra.commutative(len(m)),
+                        m=ComplexMatrix._raw(m))
+        _assert_written_like_the_tree(obj)
+
+
+def test_a_non_finite_number_is_refused_as_json_refuses_it():
+    # No design or map holds one, but the table writer keeps json's refusal.
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        a = np.zeros((3, 4, 4), dtype=np.complex128)
+        a[1, 2, 3] = complex(0.5, bad)
+        with pytest.raises(ValueError) as tree:
+            canonical_json(catalog._complex_doc(a))
+        with pytest.raises(ValueError) as got:
+            catalog._table_text(a)
+        assert str(got.value) == str(tree.value)
+
+
+def test_batches_that_alternate_between_grid_and_table_are_written_like_the_tree(written):
+    # Each batch is tenths (the grid), a few values or random normals (the table).
+    rng = np.random.default_rng(127)
+    for kind in ("quantum", "cpmap"):
+        shape, per = ((int(rng.integers(49, 90)), 16, 16), 16) if kind == "quantum" else ((16, 1024), 4)
+        a = np.empty(shape, dtype=np.complex128)
+        kinds = []
+        for lo in range(0, shape[0], per):
+            part = a[lo:lo + per].view(np.float64)
+            kinds.append(("grid", "few", "distinct")[int(rng.integers(3))])
+            if kinds[-1] == "grid":
+                part[:] = rng.integers(0, 100, part.shape) / 10.0
+            elif kinds[-1] == "few":
+                part[:] = rng.choice(np.array(_FEW_VALUES), part.shape)
+            else:
+                part[:] = rng.standard_normal(part.shape)
+        obj = (QuantumDesign._from_stack(a) if kind == "quantum" else
+               CpMap(in_alg=Algebra.commutative(1024), out_alg=Algebra.matrix(4), m=ComplexMatrix._raw(a)))
+        written.clear()
+        _assert_written_like_the_tree(obj)
+        assert [w if w == "grid" else "few" if w[1] <= len(_FEW_VALUES) else "distinct"
+                for w in written] == kinds
+        assert all(w == "grid" or w[0] == w[1] for w in written)
 
 
 # Entries at the edges of each decimal width the renderer lays out: 9/10,

@@ -890,3 +890,35 @@ def test_digest_hashes_the_text_a_slice_at_a_time():
         tracemalloc.stop()
     assert digest == "sha256:" + hashlib.sha256(big.encode("ascii")).hexdigest()
     assert peak < len(big) // 16, peak
+
+
+def _indented_fano(newline: str) -> bytes:
+    # The fano document across 27 lines, each line break spelled ``newline``.
+    return (json.dumps(json.loads(catalog_text("fano")), indent=1) + "\n").replace("\n", newline).encode()
+
+
+@pytest.mark.parametrize("data,err", [
+    (_indented_fano("\r\n")[:40] + b"\xff" + _indented_fano("\r\n")[40:],
+     "error: 'utf-8' codec can't decode byte 0xff in position 40: invalid start byte\n"),
+    (_indented_fano("\r")[:-3] + b"\xc3(\r",
+     "error: 'utf-8' codec can't decode byte 0xc3 in position 420: invalid continuation byte\n"),
+    (_indented_fano("\n") + b"\xe2\x82",
+     "error: 'utf-8' codec can't decode bytes in position 423-424: unexpected end of data\n"),
+    (b"\xef\xbb\xbf" + catalog_text("fano").encode(),
+     "error: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)\n"),
+])
+def test_a_file_that_is_not_plain_utf8_json_exits_2_with_a_pinned_message(tmp_path, capsys, data, err):
+    # The byte position counts the file's bytes, before any line break is translated.
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    assert run(capsys, "verify-classical", str(path), "--json") == (2, "", err)
+
+
+@pytest.mark.parametrize("newline,lf", [("\r\n", "\n"), ("\r", "\n"), ("\r\r\n", "\n\n")])
+def test_line_breaks_read_as_lf_and_keep_the_digest(tmp_path, capsys, newline, lf):
+    # As a text-mode read translates them: "\r\n" and a lone "\r" are each "\n".
+    path = tmp_path / "doc.json"
+    path.write_bytes(_indented_fano(newline))
+    code, out, err = run(capsys, "verify-classical", str(path), "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["input_digest"] == "sha256:" + hashlib.sha256(_indented_fano(lf)).hexdigest()

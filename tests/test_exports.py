@@ -34,11 +34,11 @@ FORMER_EXPORTS = """
 """.split()
 
 
-def fresh_modules(statement: str) -> list[str]:
+def fresh_modules(statement: str, roots: tuple = ("designkit", "numpy")) -> list[str]:
     """Run ``statement`` in a new interpreter importing from src/; return the
-    designkit and numpy modules it leaves loaded."""
+    modules it leaves loaded whose top-level package is in ``roots``."""
     probe = (f"import sys\n{statement}\n"
-             "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('designkit', 'numpy')))")
+             f"print(*sorted(m for m in sys.modules if m.split('.')[0] in {roots!r}))")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", probe], env=env, cwd=ROOT,
                           capture_output=True, text=True, check=True, timeout=60)
@@ -72,6 +72,26 @@ def test_verify_cpmap_leaves_numpy_ma_unloaded(tmp_path):
                            f"    assert main(['verify-cpmap', {str(path)!r}, '--json']) == 0")
     assert "designkit.cpmaps" in loaded
     assert "numpy.ma" not in loaded
+
+
+def test_generate_mub_leaves_numpy_ma_unloaded():
+    # The MUB family is written by the table writer, whose np.unique takes no axis.
+    loaded = fresh_modules("import contextlib, io\nfrom designkit.cli import main\n"
+                           "with contextlib.redirect_stdout(io.StringIO()):\n"
+                           "    assert main(['generate', 'mub', '--dim', '5', '--count', '6']) == 0")
+    assert "designkit.catalog" in loaded
+    assert "numpy.ma" not in loaded
+
+
+def test_version_loads_no_hashlib_and_a_report_does():
+    # OpenSSL's _hashlib adds milliseconds to start-up; only a report's digest needs it.
+    request = ("import contextlib, io\nfrom designkit.cli import main\n"
+               "with contextlib.redirect_stdout(io.StringIO()):\n"
+               "    assert main({argv!r}) == 0")
+    roots = ("hashlib", "_hashlib")
+    assert fresh_modules(request.format(argv=["--version"]), roots) == []
+    report = ["verify-classical", str(SRC / "designkit" / "data" / "fano.json")]
+    assert fresh_modules(request.format(argv=report), roots) == ["_hashlib", "hashlib"]
 
 
 @pytest.mark.parametrize("argv,code", [(["--version"], 0), (["--help"], 0),
