@@ -13,12 +13,12 @@ trailing newline, shortest round-trip rendering of binary64):
 
 Parsing is strict: wrong schema, ragged rows, unexpected types, non-finite
 numbers and integers beyond binary64 all raise :class:`FormatError` with a
-position.  Each matrix is checked and converted in bulk: one type scan, then
-one numpy conversion, with the sign or finiteness checked on the converted
-array.  Complex arrays convert in batches of about 2^12 entries (whole
-projectors, or whole rows of a CP map).  Only a refused matrix or batch is
-walked, projector by projector and entry by entry, to find the position of
-its first fault.
+position.  Canonical text is read fast, from the text (below).  Any other
+text goes the general way: ``json.loads`` builds its tree, and each matrix is
+walked once, row by row and entry by entry in document order, raising at the
+first fault; its numbers are then converted by numpy in one step
+(``_complex_rows``, ``classical_from_doc``).  A projector family is walked
+projector by projector.  Such text is read exactly, but more slowly.
 
 Each document has one large list: the incidence, the projectors or the
 matrix.  ``loads`` first parses the skeleton, the text with everything from
@@ -31,8 +31,8 @@ in a ``functor_q`` image), is a fixed-width grid: with every digit mapped to
 ``0`` it equals one layout, and numpy reads its digits from one byte buffer
 (``_digit_grid``).  Any other batch, its numerals deleted, must equal the
 layout of its shape, and json reads it as one flat list of numbers.  Any
-other text, and every error, goes the general way above (``json.loads``,
-then the bulk checks), with the same messages.
+other text, and every error, goes the general way above, with the same
+messages.
 
 Rendering gives ``canonical_json`` of the document tree for every schema,
 and builds that tree for none.  A classical document is written straight
@@ -48,15 +48,12 @@ every value rendered is a tree this package built.
 
 from __future__ import annotations
 
-import functools
-import gc
 import json
 import math
 import re
 import sys
 from importlib import resources
 from itertools import chain, islice
-from typing import NoReturn
 
 import numpy as np
 
@@ -150,47 +147,30 @@ def _complex_entry(x, where: str) -> None:
     _real(x[1], where + "[1]")
 
 
-def _only(items, kinds) -> bool:
-    # isinstance(x, kinds) and not a bool, for every x, decided once per type.
-    return all(issubclass(t, kinds) and not issubclass(t, bool) for t in set(map(type, items)))
-
-
-def _entries(rows, nrows: int, ncols: int) -> list | None:
-    """The entries of ``rows`` in row-major order if it is nrows lists of ncols, else None."""
-    if isinstance(rows, list) and len(rows) == nrows and _only(rows, list) \
-            and set(map(len, rows)) <= {ncols}:
-        return list(chain.from_iterable(rows))
-    return None
-
-
-def _rows_error(rows, nrows: int, ncols: int, where: str, entry) -> NoReturn:
-    """Raise the FormatError of the first fault in a matrix the bulk check refused.
-
-    ``entry(x, position)`` raises for a bad entry.
-    """
-    _require(isinstance(rows, list) and len(rows) == nrows,
-             f"{where}: expected {nrows} rows, got {len(rows) if isinstance(rows, list) else type(rows).__name__}")
+def _rows(rows, nrows: int, ncols: int, where: str):
+    """(i, row) for each row of ``rows``, checked in document order to be nrows lists of ncols."""
+    if not (isinstance(rows, list) and len(rows) == nrows):
+        raise FormatError(f"{where}: expected {nrows} rows, got "
+                          f"{len(rows) if isinstance(rows, list) else type(rows).__name__}")
     for i, row in enumerate(rows):
-        _require(isinstance(row, list) and len(row) == ncols,
-                 f"{where} row {i} has {len(row) if isinstance(row, list) else '?'} entries, expected {ncols}")
-        for j, x in enumerate(row):
-            entry(x, f"{where}[{i}][{j}]")
-    raise AssertionError(f"{where}: the bulk check refused a matrix the entry walk accepts")
+        if not (isinstance(row, list) and len(row) == ncols):
+            raise FormatError(f"{where} row {i} has {len(row) if isinstance(row, list) else '?'} "
+                              f"entries, expected {ncols}")
+        yield i, row
 
 
 def _complex_rows(rows, nrows: int, ncols: int, where: str) -> np.ndarray:
-    """An nrows x ncols matrix of [re, im] pairs, converted to binary64 in one step."""
-    # The entries are themselves nrows * ncols lists of 2; None if misshapen.
-    leaves = _entries(_entries(rows, nrows, ncols), nrows * ncols, 2)
-    if leaves is not None and _only(leaves, (int, float)):
-        try:
-            re_im = np.fromiter(leaves, np.float64, count=len(leaves))
-        except OverflowError:  # an integer literal beyond binary64
-            pass
-        else:
-            if np.isfinite(re_im).all():
-                return re_im.view(np.complex128).reshape(nrows, ncols)
-    _rows_error(rows, nrows, ncols, where, _complex_entry)
+    """An nrows x ncols matrix of [re, im] pairs: each entry checked in document order,
+    then all converted to binary64 in one step."""
+    for i, row in _rows(rows, nrows, ncols, where):
+        for j, x in enumerate(row):
+            # A pair of finite floats needs no call; the sum of two huge ones may
+            # overflow, and then the call accepts them.
+            if not (type(x) is list and len(x) == 2 and type(x[0]) is float
+                    and type(x[1]) is float and math.isfinite(x[0] + x[1])):
+                _complex_entry(x, f"{where}[{i}][{j}]")
+    leaves = chain.from_iterable(chain.from_iterable(rows))
+    return np.fromiter(leaves, np.float64, count=2 * nrows * ncols).view(np.complex128).reshape(nrows, ncols)
 
 
 def _complex_doc(a: np.ndarray) -> list:
@@ -388,13 +368,11 @@ def classical_from_doc(doc: dict) -> ClassicalDesign:
     b = _nat(_get(doc, "b", "document"), "b")
     _require(v >= 1 and b >= 1, "v and b must be >= 1")
     rows = _get(doc, "incidence", "document")
-    entries = _entries(rows, v, b)
-    # The type scan comes first: numpy would truncate 1.5 and take True or "1".
-    if entries is not None and _only(entries, int):
-        m = NatMatrix._from_ints(entries, (v, b))  # None if some entry is negative
-        if m is not None:
-            return ClassicalDesign(m)
-    _rows_error(rows, v, b, "incidence", _nat)
+    for i, row in _rows(rows, v, b, "incidence"):
+        for j, x in enumerate(row):
+            if type(x) is not int or x < 0:  # numpy would truncate 1.5 and take True or "1"
+                _nat(x, f"incidence[{i}][{j}]")
+    return ClassicalDesign(NatMatrix._from_ints(list(chain.from_iterable(rows)), (v, b)))
 
 
 def _complex_fields(obj) -> tuple[dict, str, np.ndarray]:
@@ -411,24 +389,6 @@ def quantum_to_doc(design: QuantumDesign) -> dict:
     return {**doc, key: _complex_doc(a)}
 
 
-def _projector_stack(projectors: list, dim: int) -> np.ndarray:
-    """The (v, dim, dim) array of ``projectors``, nested [re, im] lists, converted a batch at a time.
-
-    A refused batch is walked projector by projector to name its first fault.
-    """
-    stack = np.empty((len(projectors), dim, dim), dtype=np.complex128)
-    for lo, part in _parts(stack):
-        batch = projectors[lo:lo + len(part)]
-        try:  # the batch's rows, one after another, as one (len(batch) * dim) x dim matrix
-            part[:] = _complex_rows(_entries(batch, len(part), dim), len(part) * dim, dim,
-                                    "projectors").reshape(part.shape)
-        except FormatError:  # name the first refused projector, not the batch
-            for i, p in enumerate(batch, lo):
-                _complex_rows(p, dim, dim, f"projectors[{i}]")
-            raise
-    return stack
-
-
 def quantum_from_doc(doc: dict) -> QuantumDesign:
     _require(_get(doc, "schema", "document") == SCHEMA_QUANTUM,
              f"schema mismatch: expected {SCHEMA_QUANTUM!r}")
@@ -436,12 +396,10 @@ def quantum_from_doc(doc: dict) -> QuantumDesign:
     _require(dim >= 1, "dim must be >= 1")
     raw = _get(doc, "projectors", "document")
     _require(isinstance(raw, list) and len(raw) >= 1, "projectors: expected a nonempty list")
-    # A short document must not allocate a stack it does not hold: shape first.
-    rows = _entries(raw, len(raw), dim)
-    if rows is None or not _only(rows, list) or set(map(len, rows)) != {dim}:
-        for i, p in enumerate(raw):
-            _complex_rows(p, dim, dim, f"projectors[{i}]")
-    return QuantumDesign._from_stack(_projector_stack(raw, dim))
+    # Each projector's array is allocated once its walk has found dim x dim
+    # entries in the document, so a short document allocates nothing it does not hold.
+    return QuantumDesign._from_stack(np.stack([_complex_rows(p, dim, dim, f"projectors[{i}]")
+                                               for i, p in enumerate(raw)]))
 
 
 def _canonical_quantum(text: str, doc: dict, first: int, last: int) -> QuantumDesign | None:
@@ -524,22 +482,6 @@ def _streamed(text: str):
     return None
 
 
-def _collector_paused(fn):
-    # Document trees are acyclic, so collections while one is built or walked free nothing;
-    # the collector resumes once fn has returned, when the tree is gone and none need scan it.
-    @functools.wraps(fn)
-    def paused(*args, **kwargs):
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            if enabled:
-                gc.enable()
-    return paused
-
-
-@_collector_paused
 def dumps(obj) -> str:
     """Canonical document text for a design or map object."""
     if isinstance(obj, ClassicalDesign):
@@ -549,7 +491,6 @@ def dumps(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-@_collector_paused
 def loads(text: str):
     """Parse a document, dispatching on its schema field."""
     obj = _streamed(text)

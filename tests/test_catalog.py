@@ -246,41 +246,6 @@ def test_loaded_projectors_are_views_into_one_array():
     assert all(np.shares_memory(p.a, design._stack) for p in design.projectors)
 
 
-COLLECTOR_CALLS = {
-    "loads": lambda: loads(dumps(gen_projective_plane(2))),
-    "loads-invalid-json": lambda: loads("{not json"),
-    "loads-bad-entry": lambda: loads('{"schema":"classical-design/1","v":1,"b":1,'
-                                     '"incidence":[[-1]]}'),
-    "dumps": lambda: dumps(mub_verify(mub_generate(3, 4)).design),
-}
-
-
-@pytest.mark.parametrize("enabled", [True, False])
-@pytest.mark.parametrize("call", list(COLLECTOR_CALLS))
-def test_codec_pauses_the_cycle_collector_and_restores_its_state(monkeypatch, call, enabled):
-    # The parse and the render each run with the collector off; the render
-    # encodes through the encoder of canonical_json, one batch at a time.
-    seen = []
-    for owner, name in ((catalog.json, "loads"), (catalog._CANONICAL, "encode")):
-        def spy(text, real=getattr(owner, name)):
-            seen.append(gc.isenabled())
-            return real(text)
-        monkeypatch.setattr(owner, name, spy)
-    was = gc.isenabled()
-    (gc.enable if enabled else gc.disable)()
-    try:
-        try:
-            COLLECTOR_CALLS[call]()
-        except FormatError:
-            assert call.startswith("loads-")
-        else:
-            assert not call.startswith("loads-")
-        assert gc.isenabled() is enabled
-    finally:
-        (gc.enable if was else gc.disable)()
-    assert seen and not any(seen)
-
-
 def test_loads_leaves_no_collection_over_the_tree_behind():
     # 56 projectors of 7 x 7 [re, im] lists are far past the 700 allocations that
     # start a collection; the tree is freed before the collector resumes, so the
@@ -555,6 +520,106 @@ def test_bulk_parser_matches_the_entry_walk_on_seeded_documents(monkeypatch):
         if got.startswith("projectors["):
             named.add(int(got[len("projectors["):got.index("]")]) // step)
     assert named >= {0, 1}, named
+
+
+# --- Text that is not canonical: json.loads, then one walk per matrix ---
+# Indented text and json's default separators both take the general path.
+
+
+def _spoiled_texts(doc, places: dict) -> list[str]:
+    """doc, indented and with default separators, with each path in ``places`` set to its value."""
+    doc = json.loads(json.dumps(doc))
+    for path, value in places.items():
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return [json.dumps(doc, indent=1).replace('"@1e400@"', "1e400"),
+            json.dumps(doc).replace('"@1e400@"', "1e400")]
+
+
+def test_the_general_path_names_the_first_fault_in_document_order(monkeypatch):
+    def raises(doc, places, position, fault):
+        for text in _spoiled_texts(doc, places):
+            got = _outcome(loads, text)
+            want = _outcome(lambda t: _oracle_loads(t, monkeypatch), text)
+            assert got == want == ("FormatError", f"{position}: {fault}"), (text, got, want)
+
+    pairs = [[[0.5, -0.5]] * 3 for _ in range(3)]
+    cpmap = {"schema": "cp-map/1", "convention": "superoperator",
+             "in": {"kind": "commutative", "n": 3}, "out": {"kind": "commutative", "n": 3},
+             "matrix": pairs}
+    quantum = {"schema": "quantum-design/1", "dim": 3, "projectors": [pairs] * 4}
+    # A non-finite number comes before a later entry of the wrong type, in its
+    # own row or in a later one, and before a wrong type in its own pair.
+    for early in (float("nan"), "@1e400@"):
+        for late in ("x", True):
+            for late_place in ((0, 2), (1, 0), (2, 2)):
+                raises(cpmap, {("matrix", 0, 1, 1): early, ("matrix", *late_place, 0): late},
+                       "matrix[0][1][1]", "non-finite number")
+                raises(quantum, {("projectors", 2, 0, 1, 1): early,
+                                 ("projectors", 2, *late_place, 0): late},
+                       "projectors[2][0][1][1]", "non-finite number")
+            raises(cpmap, {("matrix", 1, 1, 0): early, ("matrix", 1, 1, 1): late},
+                   "matrix[1][1][0]", "non-finite number")
+    # A value fault in projector i comes before a misshapen projector i + 1.
+    for value, fault in ((float("nan"), "non-finite number"), ("x", "expected a number, got 'x'"),
+                         ([1.0], "expected [re, im]")):
+        for misshapen in ([], [[[0.0, 0.0]] * 3] * 2, [[[0.0, 0.0]] * 2] * 3, 7):
+            where = "projectors[1][2][2]" + ("" if value == [1.0] else "[1]")
+            place = ("projectors", 1, 2, 2) + (() if value == [1.0] else (1,))
+            raises(quantum, {place: value, ("projectors", 2): misshapen}, where, fault)
+    # An incidence's -1 comes before a 1.5, in its row or in a later one.
+    incidence = {"schema": "classical-design/1", "v": 3, "b": 4, "incidence": [[1, 0, 0, 1]] * 3}
+    for late_place in ((0, 3), (1, 0), (2, 1)):
+        raises(incidence, {("incidence", 0, 2): -1, ("incidence", *late_place): 1.5},
+               "incidence[0][2]", "expected a nonnegative integer, got -1")
+    raises(incidence, {("incidence", 1, 1): 1.5, ("incidence", 2): [1, 0]},
+           "incidence[1][1]", "expected a nonnegative integer, got 1.5")
+
+
+def _large_objects() -> list:
+    """pg2-23, the conjugated pg2-5 family and a seeded mixed-unitary channel on Matrix(16)."""
+    rng = np.random.default_rng(28)
+    weights = rng.dirichlet(np.ones(3))
+    m = sum(w * np.kron(u, u.conj()) for w, u in zip(weights, (_haar(16, rng) for _ in range(3))))
+    return [gen_projective_plane(23), _conjugated_family(5),
+            CpMap(in_alg=Algebra.matrix(16), out_alg=Algebra.matrix(16), m=ComplexMatrix._raw(m))]
+
+
+def _bits(obj) -> np.ndarray:
+    return (obj.chi.a if isinstance(obj, ClassicalDesign) else _complex_array(obj)).view(np.uint64)
+
+
+def test_large_non_canonical_texts_read_like_their_canonical_text():
+    rng = np.random.default_rng(29)
+    for obj in _large_objects():
+        want = _bits(loads(dumps(obj)))
+        doc = {ClassicalDesign: classical_to_doc, QuantumDesign: quantum_to_doc,
+               CpMap: cpmap_to_doc}[type(obj)](obj)
+        for text in (json.dumps(doc, indent=1), json.dumps(doc)):
+            got = loads(text)
+            assert type(got) is type(obj) and np.array_equal(_bits(got), want)
+        # One fault in the last row of the incidence or matrix, or in the last
+        # projector, written into the default-separator text in place of that
+        # element, and named as the oracle's entry check names it there.
+        key = next(k for k in ("incidence", "projectors", "matrix") if k in doc)
+        head, found, tail = text.rpartition(json.dumps(doc[key][-1]))
+        assert found
+        place, node = [len(doc[key]) - 1], doc[key][-1]
+        while isinstance(node[0], list):  # down to a row of numbers or an [re, im] pair
+            place.append(int(rng.integers(len(node))))
+            node = node[place[-1]]
+        where = key + "".join(f"[{i}]" for i in place)
+        if key == "incidence":
+            j = int(rng.integers(len(node)))
+            node[j] = 1.5
+            want = _outcome(lambda x: _oracle_nat(x, f"{where}[{j}]"), 1.5)
+        else:
+            node[int(rng.integers(2))] = float("nan") if key == "projectors" else True
+            want = _outcome(lambda x: _oracle_complex_entry(x, where), node)
+        bad = head + json.dumps(doc[key][-1]) + tail
+        assert want[0] == "FormatError" and _outcome(loads, bad) == want
 
 
 # --- Canonical one-digit incidences, read from the text without a tree ---
