@@ -17,6 +17,13 @@ numpy and all five library modules, once per process.  ``catalog`` and
 classical-only requests load them all too: ``catalog`` imports the others at
 module level, and perfbench/tracing.py reads these names from this module and
 needs ``quantum`` and ``cpmaps`` loaded, until it can follow later imports.
+
+Arguments: ``main`` reads an argv in plain form (command words, exact option
+strings, each value its own token) from a table built once from the parser's
+own actions, so every option, type, choice and default lives only in
+``build_parser``.  argparse parses every other argv and prints all help, usage
+and errors; the plain reader adds no option and accepts no argv that argparse
+would refuse or read differently.
 """
 
 from __future__ import annotations
@@ -96,13 +103,15 @@ _DIGEST_SLICE = 1 << 16  # characters hashed per UTF-8 encoding in _digest
 
 
 def _read_text(path: str) -> str:
-    # A file is read as bytes and decoded once, as strict UTF-8; "\r\n" and a lone
-    # "\r" become "\n", as in text mode, and a decode error counts the file's bytes.
+    # A file, or stdin's bytes, is read as bytes and decoded once, as strict UTF-8;
+    # "\r\n" and a lone "\r" become "\n", as in text mode, and a decode error counts
+    # the input's bytes.  So stdin's locale encoding and newline mode play no part.
     # str.replace's search for "\r\n" is slow, so a text with no "\r" skips it.
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "rb") as fh:
-        text = fh.read().decode("utf-8")
+        text = sys.stdin.buffer.read().decode("utf-8")
+    else:
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
@@ -584,11 +593,119 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
-def main(argv: list[str] | None = None) -> int:
+def _plain_forms(parser: argparse.ArgumentParser, defaults: dict):
+    """What argv may hold below ``parser``, read from its own actions.
+
+    A parser with subcommands gives a dict of command word -> form; any other
+    gives (positionals, required positional count, option string -> action,
+    namespace defaults, required options), or None for a shape the plain reader
+    leaves to argparse.  ``defaults`` are the names the levels above set, merged
+    as argparse merges a subcommand's namespace into its parent's.  Only store
+    and store-const actions enter the option map, so -h/--help, --version and
+    any other kind of action, when given, are left to argparse.
+    """
+    level: dict = {}
+    positionals, options, required, words = [], {}, [], None
+    for action in parser._actions:
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            level.setdefault(action.dest, action.default)
+        if isinstance(action, argparse._SubParsersAction):
+            words = action
+        elif not action.option_strings:
+            positionals.append(action)
+        elif (isinstance(action, (argparse._StoreAction, argparse._StoreConstAction))
+              and action.nargs in (None, 0)):
+            options.update(dict.fromkeys(action.option_strings, action))
+            if action.required:
+                required.append(action)
+        elif action.required:
+            return None
+    for dest, value in parser._defaults.items():
+        level.setdefault(dest, value)
+    defaults = {**defaults, **level}
+    if words is not None:
+        if positionals or required:
+            return None
+        return {word: _plain_forms(sub, {**defaults, words.dest: word})
+                for word, sub in words.choices.items()}
+    # Required positionals, or one optional one: argparse can match a "?" after a
+    # required positional to nothing when an option follows, so leave that to it.
+    nargs = [a.nargs for a in positionals]
+    if nargs != ["?"] and any(n is not None for n in nargs):
+        return None
+    return positionals, nargs.count(None), options, defaults, required
+
+
+# The plain reader's table.  It relies on argparse's private _actions, _defaults,
+# _SubParsersAction, _StoreAction and _StoreConstAction.
+_PLAIN = _plain_forms(_PARSER, {})
+
+
+def _plain_value(action: argparse.Action, token: str):
+    """``token`` converted and checked as argparse does; ValueError if it refuses it."""
+    if token[:1] == "-" and token != "-":
+        raise ValueError(token)  # an option, or a negative number: argparse's call
+    value = token if action.type is None else action.type(token)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(token)
+    return value
+
+
+def _plain_args(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse would make of a plain argv, or None to let it parse.
+
+    Plain means command words, exact option strings, each value its own token
+    that does not start with "-" (bar "-" itself), and the exact positional count.
+    Help, abbreviations, "--opt=value", "-oFILE", "--", negative numbers, and
+    unknown options or bad values all return None, so that argparse reads them
+    and prints its usual help, usage and errors.
+    """
+    form, i, n = _PLAIN, 0, len(argv)
+    given, seen = [], set()
     try:
-        args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        while isinstance(form, dict):
+            if i == n:
+                return None
+            form = form.get(argv[i])
+            i += 1
+        if form is None:
+            return None
+        positionals, least, options, defaults, required = form
+        values = dict(defaults)
+        while i < n:
+            token = argv[i]
+            i += 1
+            if token[:1] != "-" or token == "-":
+                given.append(token)
+                continue
+            action = options.get(token)
+            if action is None or (action.nargs is None and i == n):
+                return None
+            seen.add(action)
+            if action.nargs == 0:
+                values[action.dest] = action.const
+            else:
+                values[action.dest] = _plain_value(action, argv[i])
+                i += 1  # a repeated option keeps its last value, as in argparse
+        if not least <= len(given) <= len(positionals):
+            return None
+        for action, token in zip(positionals, given):
+            values[action.dest] = _plain_value(action, token)
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        return None
+    if not seen.issuperset(required):
+        return None
+    return argparse.Namespace(**values)
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = _PARSER.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     _import_library()
     try:
         if hasattr(args, "abs_eps"):

@@ -3,6 +3,7 @@ import ast
 import hashlib
 import io
 import json
+import random
 import time
 import tracemalloc
 import warnings
@@ -766,7 +767,8 @@ def test_missing_input_file_is_usage_error(capsys):
 
 
 def test_stdin_dash_reads_document(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO(catalog_text("fano")))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(catalog_text("fano").encode()),
+                                                      encoding="utf-8"))
     code, out, _ = run(capsys, "verify-classical", "-", "--block", "--json")
     assert code == 0
     assert json.loads(out)["passed"] is True
@@ -922,3 +924,148 @@ def test_line_breaks_read_as_lf_and_keep_the_digest(tmp_path, capsys, newline, l
     code, out, err = run(capsys, "verify-classical", str(path), "--json")
     assert (code, err) == (0, "")
     assert json.loads(out)["input_digest"] == "sha256:" + hashlib.sha256(_indented_fano(lf)).hexdigest()
+
+
+def _stdin(monkeypatch, data: bytes, encoding: str = "utf-8") -> None:
+    # As CPython opens stdin on POSIX: its text layer translates no line breaks.
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding=encoding,
+                                                      newline="\n"))
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r", "\r\r\n"])
+def test_stdin_reads_line_breaks_and_digests_like_a_file(tmp_path, monkeypatch, capsys, newline):
+    path = tmp_path / "doc.json"
+    path.write_bytes(_indented_fano(newline))
+    by_path = run(capsys, "verify-classical", str(path), "--json")
+    assert by_path[0] == 0
+    _stdin(monkeypatch, _indented_fano(newline))
+    assert run(capsys, "verify-classical", "-", "--json") == by_path
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "latin-1"])
+@pytest.mark.parametrize("data", [
+    _indented_fano("\r\n")[:40] + b"\xe9" + _indented_fano("\r\n")[40:],
+    _indented_fano("\n") + b"\xe2\x82",
+    b"\xef\xbb\xbf" + catalog_text("fano").encode(),
+], ids=["stray-byte", "truncated", "bom"])
+def test_stdin_refuses_what_a_file_refuses_with_the_same_message(tmp_path, monkeypatch, capsys,
+                                                                 data, encoding):
+    # stdin's bytes are decoded as strict UTF-8 whatever its text encoding says.
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    by_path = run(capsys, "verify-classical", str(path), "--json")
+    assert by_path[0] == 2
+    _stdin(monkeypatch, data, encoding)
+    assert run(capsys, "verify-classical", "-", "--json") == by_path
+
+
+# Each command's argv form: its words, its positionals, and each option's values
+# (none for a flag).  The agreement check below builds its argv from these.
+_ARGV_FORMS = {
+    ("verify-classical",): (["doc.json"], {"--block": [], "--json": []}),
+    ("verify-quantum",): (["doc.json"], {"--abs-eps": ["1e-9", "nan", "0"],
+                                        "--rel-eps": ["1e-6", "inf"], "--json": []}),
+    ("verify-cpmap",): (["-"], {"--abs-eps": ["1e-9"], "--rel-eps": ["0.5"], "--json": []}),
+    ("generate", "projective-plane"): ([], {"--order": ["3", "7"], "-o": ["-", "p.json"],
+                                            "--output": ["q.json"]}),
+    ("generate", "complete"): ([], {"--v": ["4", "6"], "--k": ["2"], "-o": ["-"]}),
+    ("generate", "mub"): ([], {"--dim": ["3"], "--count": ["4", "2"], "--output": ["-"]}),
+    ("convert",): (["c2q", "doc.json"], {"-o": ["-", "out.json"], "--abs-eps": ["1e-3"],
+                                        "--rel-eps": ["0"]}),
+    ("tensor",): (["a.json", "b.json"], {"-o": ["ab.json"], "--abs-eps": ["1"],
+                                        "--rel-eps": ["1e-9"]}),
+    ("dual",): (["doc.json"], {"-o": ["-"], "--output": ["d.json"]}),
+    ("search",): ([], {"--v": ["7"], "--b": ["7", "14"], "--k": ["3"], "--r": ["3", "6"],
+                       "--lambda": ["1", "2"], "--limit": ["2", "0"], "--canonical": [],
+                       "--json": []}),
+    ("hom-check",): (["a.json", "b.json"], {"--fv": ["0 1 2", ""], "--fb": ["2 1 0"],
+                                           "--json": []}),
+    ("catalog",): (["fano"], {"--list": [], "-o": ["-", "f.json"], "--output": ["g.json"]}),
+}
+
+# Tokens that the plain reader must leave to argparse, and some that it may read.
+_ARGV_NOISE = ["-h", "--help", "--", "-", "-1", "-3", "-0.5", "-x", "--bogus", "--version",
+               "--js", "--ord", "--lam", "--can", "--abs-eps=1", "--v=7", "-oFILE", "-o=x",
+               "x", "1.5", "", "nan", " 3", "3_0", "c2q", "q2c", "c3q", "fano", "generate"]
+
+
+def _fuzzed_argv(rng: random.Random) -> list[str]:
+    """A seeded argv: a command's form with options permuted, then 0-3 mutations."""
+    words, (positionals, options) = rng.choice(list(_ARGV_FORMS.items()))
+    pieces = [[p] for p in positionals]
+    for opt, values in options.items():
+        if rng.random() < 0.85:
+            pieces.append([opt, rng.choice(values)] if values else [opt])
+    rng.shuffle(pieces)
+    tail = [token for piece in pieces for token in piece]
+    for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
+        i = rng.randrange(len(tail) + 1)
+        mutation = rng.randrange(6)
+        if mutation == 0 and tail:
+            del tail[min(i, len(tail) - 1)]  # a dropped value, option or positional
+        elif mutation == 1 and tail:
+            j = min(i, len(tail) - 1)
+            tail[j:j] = tail[j:j + 2]  # a repeated token or option with its value
+        elif mutation == 2 and tail:
+            tail[min(i, len(tail) - 1)] = rng.choice(_ARGV_NOISE)
+        elif mutation == 3:
+            tail.insert(i, rng.choice(_ARGV_NOISE))
+        elif mutation == 4 and tail:
+            j = min(i, len(tail) - 1)
+            if tail[j].startswith("--") and j + 1 < len(tail):
+                tail[j:j + 2] = [f"{tail[j]}={tail[j + 1]}"]
+            elif tail[j] == "-o" and j + 1 < len(tail):
+                tail[j:j + 2] = ["-o" + tail[j + 1]]
+        else:
+            words = words[:-1] if len(words) > 1 else (*words, rng.choice(_ARGV_NOISE))
+    return [*words, *tail]
+
+
+def _argparse_vars(argv: list[str]) -> str:
+    try:
+        return repr(vars(cli._PARSER.parse_args(argv)))
+    except SystemExit as exc:
+        return f"argparse exits {exc.code}"
+
+
+def test_the_plain_reader_agrees_with_argparse_on_seeded_argv(capsys):
+    # Every namespace the reader makes is the one argparse makes, in the same key
+    # order; compared by repr, because nan != nan.  An argv that argparse refuses
+    # must be refused by the reader.
+    rng = random.Random(20240229)
+    read = refused = 0
+    for _ in range(3000):
+        argv = _fuzzed_argv(rng)
+        plain = cli._plain_args(argv)
+        if plain is None:
+            refused += 1
+        else:
+            read += 1
+            assert repr(vars(plain)) == _argparse_vars(argv), argv
+    capsys.readouterr()
+    assert read > 1000 and refused > 1000, (read, refused)
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "-h"], ["verify-classical", "doc.json", "--help"], ["--version"], [],
+    ["generate"], ["generate", "mub", "--dim", "3"], ["search", "--v", "7", "--b", "7"],
+    ["convert", "c3q", "doc.json"], ["convert", "c2q"], ["dual", "a", "b"],
+    ["generate", "projective-plane", "--order", "-3"], ["catalog", "-o", "-x"],
+    ["verify-quantum", "doc.json", "--abs-eps", "-1e-3"], ["verify-quantum", "doc.json", "--js"],
+    ["verify-quantum", "doc.json", "--abs-eps=1"], ["catalog", "-ofano.json"],
+    ["catalog", "--", "fano"], ["search", "--v", "x", "--b", "7", "--k", "3", "--r", "3",
+                                "--lambda", "1"], ["catalog", "fano", "-o"],
+])
+def test_the_plain_reader_leaves_help_and_irregular_argv_to_argparse(argv):
+    assert cli._plain_args(argv) is None
+
+
+def test_main_reads_a_plain_argv_without_argparse(monkeypatch, capsys):
+    def refuse(argv=None):
+        raise AssertionError(f"argparse called for {argv}")
+
+    monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
+    assert run(capsys, "catalog", "--list")[:2] == (0, "".join(
+        f"{name}\n" for name in designkit.catalog_names()))
+    assert run(capsys, "search", "--v", "7", "--b", "7", "--k", "3", "--r", "3", "--lambda",
+               "1", "--canonical", "--limit", "2", "--json")[:2] == (0, FANO_SEARCH_REPORT)

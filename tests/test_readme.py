@@ -10,6 +10,7 @@ import numpy as np
 
 from designkit import catalog
 from designkit.classical import DesignParams
+from designkit import cli
 from designkit.cli import main
 
 README = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -69,7 +70,8 @@ def test_command_block_runs_through_main(tmp_path, monkeypatch, capsys):
         piped = ""
         for argv in _pipeline(line):
             assert argv[0] == "designkit", line
-            monkeypatch.setattr(sys, "stdin", io.StringIO(piped))
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(piped.encode()),
+                                                               encoding="utf-8"))
             code = main(argv[1:])
             out, err = capsys.readouterr()
             assert (code, err) == (0, ""), (argv, code, err)
@@ -77,3 +79,14 @@ def test_command_block_runs_through_main(tmp_path, monkeypatch, capsys):
             ran.append(argv[1])
         assert piped or " -o " in line, line  # the last command wrote stdout or a file
     assert len(ran) == 16 and "verify-classical" in ran and trees == []
+
+
+def test_command_block_argv_take_the_plain_reader():
+    # Each argv is read from the parser's table, into argparse's own namespace.
+    lines = _block("Command line", "sh").replace("\\\n", " ").splitlines()
+    argvs = [argv[1:] for line in lines for argv in _pipeline(line)]
+    assert len(argvs) == 16
+    for argv in argvs:
+        plain = cli._plain_args(argv)
+        assert plain is not None, argv
+        assert repr(vars(plain)) == repr(vars(cli._PARSER.parse_args(argv))), argv
