@@ -13,6 +13,10 @@ _MODULES = ("linalg", "classical", "quantum", "cpmaps", "catalog")
 
 
 def __getattr__(name: str):
+    # ``from designkit import cli`` asks for the submodule here first; refusing it
+    # lets the import system load that one module and nothing else.
+    if name == "cli" or name in _MODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     modules = (importlib.import_module(f"{__name__}.{stem}") for stem in _MODULES)
     if name == "__all__":
         return ["__version__", *(n for module in modules for n in module.__all__)]

@@ -29,9 +29,11 @@ without a tree.  Its layout is checked as bytes.  A one-digit incidence, and
 a batch of whole projectors or matrix rows whose every number is ``d.d`` (as
 in a ``functor_q`` image), is a fixed-width grid: with every digit mapped to
 ``0`` it equals one layout, and numpy reads its digits from one byte buffer
-(``_digit_grid``).  Any other batch, its numerals deleted, must equal the
-layout of its shape, and json reads it as one flat list of numbers.  Any
-other text, and every error, goes the general way above, with the same
+(``_digit_grid``).  Any other batch, its numerals but ``.`` deleted, must
+equal the layout of its shape with a ``.`` in every [re, im] slot; one that
+misses, as a batch with an integer or ``1e-05`` does, takes the full check
+(``_canonical_complex``).  json reads the batch as one flat list of numbers.
+Any other text, and every error, goes the general way above, with the same
 messages.
 
 Rendering gives ``canonical_json`` of the document tree for every schema,
@@ -285,6 +287,7 @@ def _classical_text(design: ClassicalDesign) -> str:
 _ZERO_DIGITS = bytes.maketrans(b"123456789", b"000000000")
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 _NUMERALS = b"0123456789.-+eE"  # every character a JSON number can hold
+_DOTLESS_NUMERALS = _NUMERALS.replace(b".", b"")  # deleted, they leave each slot's "." in place
 _BRACKETS_AS_SPACES = bytes.maketrans(b"[]", b"  ")
 _EMPTY_RE, _EMPTY_IM = re.compile(rb"\[,"), re.compile(rb",\]")  # an [re, im] slot with no number
 
@@ -327,13 +330,17 @@ def _canonical_complex(text: str, first: int, last: int, shape: tuple) -> np.nda
 
     Each element of the list ends where ``]`` closes its last entry and all
     its axes at once, and each but the last is followed by a comma.  The list
-    is read a batch of whole elements at a time.  With its numerals deleted, a
-    batch's text must equal the layout its shape fixes (``[[,],...],...``),
-    and it may hold no ``[,`` or ``,]``, so every [re, im] slot holds one run
-    of numerals and no other place holds any.  json reads the batch, its
-    brackets turned into spaces, as one flat list of numbers, so JSON's number
-    grammar decides what a number is.  Other text raises ValueError, json's
-    errors or OverflowError (an integer beyond binary64).
+    is read a batch of whole elements at a time.  With its numerals but ``.``
+    deleted, a batch's text must equal the layout its shape fixes with a
+    ``.`` in every [re, im] slot (``[[.,.],...],...``).  That one comparison
+    puts one run of numerals with one ``.`` in each slot and none anywhere
+    else, since each ``.`` sits between its slot's separators.  A batch it
+    misses, such as one holding an integer or ``1e-05``, takes the full
+    check: with every numeral deleted, its text must equal the dotless
+    layout, and it may hold no ``[,`` or ``,]``.  Either way json reads the
+    batch, its brackets turned into spaces, as one flat list of numbers, so
+    JSON's number grammar decides what a number is.  Other text raises
+    ValueError, json's errors or OverflowError (an integer beyond binary64).
     """
     inner = shape[1:]
     closes = re.compile(r"\]" * len(shape))
@@ -342,6 +349,10 @@ def _canonical_complex(text: str, first: int, last: int, shape: tuple) -> np.nda
     if not (1 < len(bounds) <= room + 1 and bounds[-1] == last and shape[0] in (None, len(bounds) - 1)):
         raise ValueError(f"not a list of at most {room} canonical arrays of shape {inner}")
     out = np.empty((len(bounds) - 1, *inner), dtype=np.complex128)
+    # A batch of n elements, less its outer brackets, is n of these apart by ",",
+    # so each batch's dotted layout is a prefix of the first's, the longest.
+    element = _layout(b".", (*inner, 2))
+    dotted = b",".join([element] * len(next(_parts(out))[1]))
     for lo, part in _parts(out):
         start, end = bounds[lo] + 1, bounds[lo + len(part)]
         if lo and text[start - 1] != ",":
@@ -351,7 +362,8 @@ def _canonical_complex(text: str, first: int, last: int, shape: tuple) -> np.nda
             part.reshape(-1).view(np.float64)[:] = (10 * digits[::2] + digits[1::2]).astype(np.float64) / 10
             continue
         cut = text[start:end].encode("ascii")
-        if (cut.translate(None, _NUMERALS) != _layout(b"", (*part.shape, 2))[1:-1]
+        if cut.translate(None, _DOTLESS_NUMERALS) != dotted[: len(part) * (len(element) + 1) - 1] and (
+                cut.translate(None, _NUMERALS) != _layout(b"", (*part.shape, 2))[1:-1]
                 or _EMPTY_RE.search(cut) or _EMPTY_IM.search(cut)):
             raise ValueError(f"elements {lo} on are not canonical text")
         part.reshape(-1)[:] = np.fromiter(json.loads(b"[" + cut.translate(_BRACKETS_AS_SPACES) + b"]"),

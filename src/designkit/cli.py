@@ -115,6 +115,12 @@ def _read_text(path: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
+def _read_texts(*paths: str) -> list[str]:
+    """``_read_text`` of each path, each path read once: stdin named twice gives its text twice."""
+    texts = {path: _read_text(path) for path in dict.fromkeys(paths)}
+    return [texts[path] for path in paths]
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -349,8 +355,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_tensor(args) -> int:
-    a = loads(_read_text(args.file1))
-    b = loads(_read_text(args.file2))
+    a, b = map(loads, _read_texts(args.file1, args.file2))
     if isinstance(a, ClassicalDesign) and isinstance(b, ClassicalDesign):
         _refuse_tolerance(args, "classical tensor")
         out = tensor_designs(a, b)
@@ -426,8 +431,7 @@ def _parse_map(text: str, what: str) -> tuple[int, ...]:
 
 
 def cmd_hom_check(args) -> int:
-    src_text = _read_text(args.src)
-    dst_text = _read_text(args.dst)
+    src_text, dst_text = _read_texts(args.src, args.dst)
     src = _load_as(src_text, ClassicalDesign, "classical-design/1")
     dst = _load_as(dst_text, ClassicalDesign, "classical-design/1")
     hom = HomPair(f_v=_parse_map(args.fv, "--fv"), f_b=_parse_map(args.fb, "--fb"))

@@ -62,12 +62,15 @@ class Tolerance:
         """Entrywise tol-equality of two broadcastable arrays, as a boolean array."""
         a = np.asarray(a)
         b = np.asarray(b)
-        # The slack is inf when an entry is, so the gap must be finite too; a gap
-        # between finite entries near 1e308 overflows to inf, which is not close.
+        # A gap between finite entries near 1e308 overflows to inf, which is not close.
         with np.errstate(over="ignore", invalid="ignore"):
-            slack = self.slack(np.maximum(np.abs(a), np.abs(b)))
-            d = np.abs(a - b)
-        return (d <= slack) & (d < np.inf)
+            return self._within(np.abs(a - b), np.maximum(np.abs(a), np.abs(b)))
+
+    def _within(self, gap, scale) -> np.ndarray:
+        """:meth:`isclose` of x and y from ``gap = |x - y|`` and ``scale = max(|x|, |y|)``."""
+        # The slack is inf when an entry is, so the gap must be finite too.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (gap <= self.slack(scale)) & (gap < np.inf)
 
     def allclose(self, a, b) -> bool:
         """Entrywise tol-equality of two arrays; False on shape mismatch or a non-finite gap."""

@@ -139,9 +139,13 @@ def validate(design: QuantumDesign, tol: Tolerance = DEFAULT_TOL) -> ValidationR
             i = int(np.argmin(finite))
             raise ValueError(f"projector {lo + i}: p p is not finite; its largest |entry| is "
                              f"{float(np.abs(a[i]).max())!r}")
-        herm = np.abs(a - a_h).max(axis=(1, 2)).tolist()
-        idem = np.abs(a_sq - a).max(axis=(1, 2)).tolist()
-        ok = (tol.isclose(a, a_h) & tol.isclose(a_sq, a)).all(axis=(1, 2)).tolist()
+        # Each magnitude once, for the residuals and the verdicts alike; |p^dagger|
+        # is |p| transposed, bit for bit.
+        mag, herm_gap, idem_gap = np.abs(a), np.abs(a - a_h), np.abs(a_sq - a)
+        herm = herm_gap.max(axis=(1, 2)).tolist()
+        idem = idem_gap.max(axis=(1, 2)).tolist()
+        ok = (tol._within(herm_gap, np.maximum(mag, mag.swapaxes(1, 2)))
+              & tol._within(idem_gap, np.maximum(np.abs(a_sq), mag))).all(axis=(1, 2)).tolist()
         checks += map(ProjectorCheck, range(lo, lo + len(a)), herm, idem, ok)
     report = ValidationReport(checks=tuple(checks), ok=all(c.ok for c in checks))
     design._reports[tol] = report

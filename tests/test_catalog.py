@@ -879,7 +879,8 @@ def _cut_mutation(text: str, rng) -> tuple[str, str]:
 
     what = pick(["none", "space-between", "space-inside", "extra-key", "number", "bad-value",
                  "trailing-comma", "drop-bracket", "empty-list", "wrong-dim", "ragged-row",
-                 "deep", "number-grammar", "slot-hop"])
+                 "deep", "number-grammar", "slot-hop", "hop-left", "hop-right", "gap-numeral",
+                 "bracket-kind", "two-dots"])
     if what == "space-between" and between:
         return what, at(pick(between) + 1, pick([" ", "\n", "\t "]))
     if what == "space-inside":
@@ -924,6 +925,23 @@ def _cut_mutation(text: str, rng) -> tuple[str, str]:
         if cut[lo - 1] == "[":  # "[re," becomes "re[," or "7[re,"
             return what, at(lo - 1, num + "[" + seven, hi - lo + 1)
         return what, at(lo, seven + "]" + num, hi - lo + 1)  # ",im]" becomes ",]im" or ",im]7"
+    if what == "hop-left":  # a real part moved before every "[" that opens it: ",[[re," is ",re[[,"
+        lo, hi = pick([(lo, hi) for lo, hi in numbers if cut[lo - 1] == "["])
+        start = len(cut[:lo].rstrip("["))
+        return what, at(start, cut[lo:hi] + cut[start:lo], hi - start)
+    if what == "hop-right":  # an imaginary part moved past every "]" that follows it: ",im]]," is ",]]im,"
+        lo, hi = pick([(lo, hi) for lo, hi in numbers if cut[hi] == "]"])
+        end = len(cut) - len(cut[hi:].lstrip("]"))
+        return what, at(lo, cut[hi:end] + cut[lo:hi], end - lo)
+    if what == "gap-numeral":  # a numeral run beside a comma between two entries, in no slot
+        i = pick([i for i in marks["commas"] if cut[i - 1] == "]"])
+        return what, at(i + int(rng.integers(2)), pick(["5", "0.5", "-2.5e-3", "1e5"]))
+    if what == "bracket-kind":  # one bracket turned round, or made a brace
+        i = pick(marks["brackets"])
+        return what, at(i, pick({"[": ["]", "{"], "]": ["[", "}"]}[cut[i]]), 1)
+    if what == "two-dots":  # a number given a second "."
+        lo, hi = pick(numbers)
+        return what, at(hi, ".5" if "." in cut[lo:hi] else ".5.5")
     return "none", text
 
 
@@ -961,7 +979,9 @@ def test_streamed_decode_matches_the_tree_on_seeded_texts(monkeypatch):
                     "number": {(True, "ok"), *fails}, "bad-value": fails,
                     "trailing-comma": fails, "drop-bracket": fails, "empty-list": fails,
                     "wrong-dim": fails, "ragged-row": fails, "deep": fails,
-                    "number-grammar": fails, "slot-hop": fails}, seen
+                    "number-grammar": fails, "slot-hop": fails, "hop-left": fails,
+                    "hop-right": fails, "gap-numeral": fails, "bracket-kind": fails,
+                    "two-dots": fails}, seen
 
 
 def test_respelled_numbers_and_separators_read_as_on_the_tree_path():
@@ -1043,6 +1063,58 @@ def test_edge_values_read_bit_for_bit_as_on_the_tree_path(monkeypatch):
         checked.add((kind, fault is None))
     assert checked == {("quantum", True), ("quantum", False), ("cpmap", True), ("cpmap", False)}
     assert spelled == set(_EDGE_SPELLINGS)
+
+
+class _CountedPattern:
+    """A compiled pattern whose searches are logged."""
+
+    def __init__(self, pattern, log: list):
+        self.pattern, self.log = pattern, log
+
+    def search(self, *args):
+        self.log.append(self.pattern.pattern)
+        return self.pattern.search(*args)
+
+
+def test_batches_whose_every_number_has_a_dot_skip_the_full_check(monkeypatch):
+    # The full check's slot scans run only for a batch that misses the dotted
+    # layout: none of the families and channels designkit writes, and every
+    # batch with one number spelled without a ".".
+    scans, streamed = [], []
+
+    def spy(text, real=catalog._streamed):
+        streamed.append(real(text))
+        return streamed[-1]
+
+    monkeypatch.setattr(catalog, "_EMPTY_RE", _CountedPattern(catalog._EMPTY_RE, scans))
+    monkeypatch.setattr(catalog, "_EMPTY_IM", _CountedPattern(catalog._EMPTY_IM, scans))
+    monkeypatch.setattr(catalog, "_streamed", spy)
+    rng = np.random.default_rng(30)
+    objs = [mub_generate(d, d + 1).design for d in (3, 5, 7)]
+    for d in (2, 3, 5):
+        chi = gen_projective_plane(d).chi.a
+        u = _haar(chi.shape[1], rng)
+        objs.append(QuantumDesign._from_stack(np.stack([u @ np.diag(row.astype(complex)) @ u.conj().T
+                                                        for row in chi])))
+    for n in (2, 4, 8):
+        weights = rng.dirichlet(np.ones(3))
+        m = sum(w * np.kron(u, u.conj()) for w, u in zip(weights, (_haar(n, rng) for _ in range(3))))
+        objs.append(CpMap(in_alg=Algebra.matrix(n), out_alg=Algebra.matrix(n), m=ComplexMatrix._raw(m)))
+    for obj in objs:
+        got = loads(dumps(obj))
+        assert streamed[-1] is not None and _same_value(got, obj)
+    assert scans == []
+    text = dumps(objs[-4])  # the conjugated pg2-5 family: 31 projectors, four to a batch
+    first = text.index("[")
+    numbers = _cut_marks(text)["numbers"]
+    for literal in ("1e-05", "-0", "7", "-9007199254740993"):
+        lo, hi = numbers[int(rng.integers(len(numbers) // 2, len(numbers)))]
+        bad = text[:first + lo] + literal + text[first + hi:]
+        scans.clear()
+        got, want = loads(bad), _tree_loads(bad)
+        assert streamed[-1] is not None and _same_value(got, want), literal
+        assert sorted(scans) == sorted([catalog._EMPTY_RE.pattern.pattern,
+                                        catalog._EMPTY_IM.pattern.pattern]), literal
 
 
 # Entries n / 10 (n in 0..99) are read and written as a fixed-width grid of

@@ -959,6 +959,21 @@ def test_stdin_refuses_what_a_file_refuses_with_the_same_message(tmp_path, monke
     assert run(capsys, "verify-classical", "-", "--json") == by_path
 
 
+@pytest.mark.parametrize("argv", [
+    ["hom-check", "{0}", "{0}", "--fv", "0 1 2 3 4 5 6", "--fb", "0 1 2 3 4 5 6"],
+    ["hom-check", "{0}", "{0}", "--fv", "0 1 2 3 4 5 6", "--fb", "0 1 2 3 4 5 6", "--json"],
+    ["tensor", "{0}", "{0}"],
+], ids=["hom-check", "hom-check-json", "tensor"])
+def test_stdin_named_twice_reads_as_one_file_named_twice(tmp_path, monkeypatch, capsys, argv):
+    # stdin is read once per request, and its text serves every "-".
+    path = tmp_path / "fano.json"
+    path.write_text(catalog_text("fano"), encoding="utf-8")
+    by_path = run(capsys, *(arg.format(path) for arg in argv))
+    assert by_path[0] == 0 and by_path[2] == ""
+    _stdin(monkeypatch, catalog_text("fano").encode())
+    assert run(capsys, *(arg.format("-") for arg in argv)) == by_path
+
+
 # Each command's argv form: its words, its positionals, and each option's values
 # (none for a flag).  The agreement check below builds its argv from these.
 _ARGV_FORMS = {

@@ -63,6 +63,15 @@ def test_a_name_loads_only_the_module_that_declares_it():
     assert [m for m in loaded if m.startswith("designkit")] == ["designkit", "designkit.linalg"]
 
 
+def test_from_the_package_import_cli_loads_no_library_module_and_no_numpy():
+    assert fresh_modules("from designkit import cli") == ["designkit", "designkit.cli"]
+
+
+@pytest.mark.parametrize("stem", EXPORTING)
+def test_from_the_package_import_a_module_loads_what_importing_it_loads(stem):
+    assert fresh_modules(f"from designkit import {stem}") == fresh_modules(f"import designkit.{stem}")
+
+
 def test_verify_cpmap_leaves_numpy_ma_unloaded(tmp_path):
     # numpy.ma adds to start-up, and np.unique(..., axis=0) imports it on first use.
     path = tmp_path / "cp.json"
